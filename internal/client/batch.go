@@ -27,35 +27,30 @@ func (c *Client) Get(key string) (value.Value, error) { return c.GetShard(0, key
 
 // GetShard is Get addressed to a shard's guardian.
 func (c *Client) GetShard(sh uint32, key string) (value.Value, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpGet, Shard: sh, Handler: key})
-	if err != nil {
-		return nil, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Result) == 0 {
-		return nil, nil
-	}
-	v, err := value.Unflatten(resp.Result)
-	if err != nil {
-		return nil, fmt.Errorf("client: result: %w", err)
-	}
-	return v, nil
+	return callDecode(c, wire.Request{Op: wire.OpGet, Shard: sh, Handler: key}, "result", unflatten)
 }
 
-// DoBatch pipelines reqs over one pooled connection: all requests go
-// out in a single write, and responses (which the server may answer
-// out of order) are matched back by correlation id. Connection-level
-// failures retry the whole outstanding batch; StatusRetry verdicts
-// retry only the requests that drew them. Exhausting the attempt
-// budget on transient verdicts returns the responses as they stand —
-// StatusRetry rows included, position-matched to reqs — so the caller
-// sees exactly which requests never landed; only a final
-// connection-level failure returns an error.
+// DoBatch is the client's one request path (Do is a batch of one). It
+// pipelines reqs over one pooled connection: all requests go out in a
+// single write, and responses (which the server may answer out of
+// order) are matched back by correlation id. Connection-level failures
+// retry the whole outstanding batch; StatusRetry verdicts retry only
+// the requests that drew them. Exhausting the attempt budget on
+// transient verdicts returns the responses as they stand — StatusRetry
+// rows included, position-matched to reqs — so the caller sees exactly
+// which requests never landed; only a final connection-level failure
+// returns an error. A request whose encoding exceeds wire.MaxPayload
+// fails the call at once, wrapping wire.ErrOversize, before any dial.
 func (c *Client) DoBatch(reqs []wire.Request) ([]wire.Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
+	}
+	payloads := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		payloads[i] = wire.EncodeRequest(req)
+		if n := len(payloads[i]); n > wire.MaxPayload {
+			return nil, fmt.Errorf("client: request %d: %w: payload %d > %d", i, wire.ErrOversize, n, wire.MaxPayload)
+		}
 	}
 	out := make([]wire.Response, len(reqs))
 	pending := make([]int, len(reqs)) // indices into reqs/out awaiting a verdict
@@ -64,9 +59,9 @@ func (c *Client) DoBatch(reqs []wire.Request) ([]wire.Response, error) {
 	}
 	var last error
 	for attempt := 1; ; attempt++ {
-		batch := make([]wire.Request, len(pending))
+		batch := make([][]byte, len(pending))
 		for j, i := range pending {
-			batch[j] = reqs[i]
+			batch[j] = payloads[i]
 		}
 		resps, err := c.attemptBatch(batch)
 		if err == nil {
@@ -99,12 +94,12 @@ func (c *Client) DoBatch(reqs []wire.Request) ([]wire.Response, error) {
 }
 
 // attemptBatch runs one pipelined exchange on one connection.
-func (c *Client) attemptBatch(reqs []wire.Request) ([]wire.Response, error) {
+func (c *Client) attemptBatch(payloads [][]byte) ([]wire.Response, error) {
 	nc, err := c.conn()
 	if err != nil {
 		return nil, err
 	}
-	resps, err := c.exchangeBatch(nc, reqs)
+	resps, err := c.exchangeBatch(nc, payloads)
 	if err != nil {
 		// The stream's state is unknown: never pool it.
 		//roslint:besteffort the connection is already being discarded for the observed exchange error
@@ -115,13 +110,20 @@ func (c *Client) attemptBatch(reqs []wire.Request) ([]wire.Response, error) {
 	return resps, nil
 }
 
-func (c *Client) exchangeBatch(nc net.Conn, reqs []wire.Request) ([]wire.Response, error) {
-	want := make(map[uint64]int, len(reqs))
-	var buf []byte
-	for i, req := range reqs {
-		corr := c.corr.Add(1)
-		want[corr] = i
-		b, err := wire.AppendFrame(buf, wire.Frame{Type: wire.TypeRequest, CorrID: corr, Payload: wire.EncodeRequest(req)})
+// exchangeBatch writes one frame per encoded request and reads back
+// exactly one response per correlation id. Any other frame — a foreign
+// or repeated corr id, or a frame that is not a response — means the
+// stream is desynchronized.
+func (c *Client) exchangeBatch(nc net.Conn, payloads [][]byte) ([]wire.Response, error) {
+	n := uint64(len(payloads))
+	first := c.corr.Add(n) - n + 1 // this exchange owns corr ids first..first+n-1
+	size := 0
+	for _, p := range payloads {
+		size += wire.HeaderSize + len(p) + wire.TrailerSize
+	}
+	buf := make([]byte, 0, size)
+	for i, p := range payloads {
+		b, err := wire.AppendFrame(buf, wire.Frame{Type: wire.TypeRequest, CorrID: first + uint64(i), Payload: p})
 		if err != nil {
 			return nil, fmt.Errorf("client: batch request %d: %w", i, err)
 		}
@@ -136,18 +138,19 @@ func (c *Client) exchangeBatch(nc net.Conn, reqs []wire.Request) ([]wire.Respons
 	if _, err := nc.Write(buf); err != nil {
 		return nil, c.connErr("write", err)
 	}
-	out := make([]wire.Response, len(reqs))
-	for n := 0; n < len(reqs); n++ {
+	out := make([]wire.Response, len(payloads))
+	got := make([]bool, len(payloads))
+	for range payloads {
 		f, err := wire.ReadFrame(nc)
 		if err != nil {
 			return nil, c.connErr("read", err)
 		}
-		i, ok := want[f.CorrID]
-		if f.Type != wire.TypeResponse || !ok {
+		i := f.CorrID - first // a foreign id below first wraps past n
+		if f.Type != wire.TypeResponse || i >= n || got[i] {
 			return nil, fmt.Errorf("%w: %s: stream desynchronized (frame type %d, corr %d unexpected)",
 				ErrUnreachable, c.addr, f.Type, f.CorrID)
 		}
-		delete(want, f.CorrID)
+		got[i] = true
 		resp, err := wire.DecodeResponse(f.Payload)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %s: %v", ErrUnreachable, c.addr, err)
@@ -178,10 +181,7 @@ func (c *Client) GetBatch(keys []string) ([]value.Value, error) {
 		if err := remoteErr(resp); err != nil {
 			return nil, fmt.Errorf("client: get %q: %w", keys[i], err)
 		}
-		if len(resp.Result) == 0 {
-			continue
-		}
-		v, err := value.Unflatten(resp.Result)
+		v, err := unflatten(resp.Result)
 		if err != nil {
 			return nil, fmt.Errorf("client: get %q: result: %w", keys[i], err)
 		}

@@ -182,46 +182,6 @@ func (c *Client) release(nc net.Conn) {
 	_ = nc.Close()
 }
 
-// attempt runs one request/response exchange on one connection.
-func (c *Client) attempt(req wire.Request) (wire.Response, error) {
-	nc, err := c.conn()
-	if err != nil {
-		return wire.Response{}, err
-	}
-	resp, err := c.exchange(nc, req)
-	if err != nil {
-		// The stream's state is unknown: never pool it.
-		//roslint:besteffort the connection is already being discarded for the observed exchange error
-		_ = nc.Close()
-		return wire.Response{}, err
-	}
-	c.release(nc)
-	return resp, nil
-}
-
-func (c *Client) exchange(nc net.Conn, req wire.Request) (wire.Response, error) {
-	corr := c.corr.Add(1)
-	if err := nc.SetDeadline(c.opt.Clock.Now().Add(c.opt.CallTimeout)); err != nil {
-		return wire.Response{}, fmt.Errorf("%w: deadline: %v", ErrUnreachable, err)
-	}
-	if err := wire.WriteFrame(nc, wire.Frame{Type: wire.TypeRequest, CorrID: corr, Payload: wire.EncodeRequest(req)}); err != nil {
-		return wire.Response{}, c.connErr("write", err)
-	}
-	f, err := wire.ReadFrame(nc)
-	if err != nil {
-		return wire.Response{}, c.connErr("read", err)
-	}
-	if f.Type != wire.TypeResponse || f.CorrID != corr {
-		return wire.Response{}, fmt.Errorf("%w: %s: stream desynchronized (frame type %d, corr %d != %d)",
-			ErrUnreachable, c.addr, f.Type, f.CorrID, corr)
-	}
-	resp, err := wire.DecodeResponse(f.Payload)
-	if err != nil {
-		return wire.Response{}, fmt.Errorf("%w: %s: %v", ErrUnreachable, c.addr, err)
-	}
-	return resp, nil
-}
-
 // connErr classifies an I/O failure, emitting rpc.timeout for a
 // missed deadline.
 func (c *Client) connErr(op string, err error) error {
@@ -232,46 +192,39 @@ func (c *Client) connErr(op string, err error) error {
 	return fmt.Errorf("%w: %s %s: %v", ErrUnreachable, op, c.addr, err)
 }
 
-// Do sends one request, retrying transient failures (connection-level
-// errors and StatusRetry verdicts) with capped exponential backoff and
-// jitter. The returned response never has StatusRetry; exhausting the
-// budget on transient failures yields an error wrapping ErrBusy (all
-// verdicts were StatusRetry) or transport.ErrUnreachable (the last
-// failure was below the reply).
+// Do sends one request: a single call is a batch of one, riding
+// DoBatch's retry loop. The returned response never has StatusRetry;
+// exhausting the budget on transient failures yields an error wrapping
+// ErrBusy (the last verdict was StatusRetry) or
+// transport.ErrUnreachable (the last failure was below the reply).
 func (c *Client) Do(req wire.Request) (wire.Response, error) {
-	var last error
-	for attempt := 1; ; attempt++ {
-		resp, err := c.attempt(req)
-		if err == nil && resp.Status != wire.StatusRetry {
-			return resp, nil
-		}
-		if err != nil {
-			last = err
-		} else {
-			last = fmt.Errorf("%w: %s", ErrBusy, resp.Err)
-		}
-		if attempt >= c.opt.MaxAttempts {
-			return wire.Response{}, last
-		}
-		c.emit(obs.Event{Kind: obs.KindRPCRetry, Code: uint8(attempt), Note: last.Error()})
-		c.opt.Clock.Sleep(c.backoff(attempt))
+	resps, err := c.DoBatch([]wire.Request{req})
+	if err != nil {
+		return wire.Response{}, err
 	}
+	if resps[0].Status == wire.StatusRetry {
+		return wire.Response{}, fmt.Errorf("%w: %s", ErrBusy, resps[0].Err)
+	}
+	return resps[0], nil
 }
+
+// backoff is Options.backoff under this client's options.
+func (c *Client) backoff(n int) time.Duration { return c.opt.backoff(n) }
 
 // backoff returns the pause after the n-th failed attempt (n ≥ 1):
 // BaseBackoff doubling per failure, capped at MaxBackoff, jittered
 // uniformly into [d/2, d] so synchronized clients spread out without
-// ever retrying immediately.
-func (c *Client) backoff(n int) time.Duration {
-	d := c.opt.BaseBackoff
-	for i := 1; i < n && d < c.opt.MaxBackoff; i++ {
+// ever retrying immediately. Client and Routed share it.
+func (o Options) backoff(n int) time.Duration {
+	d := o.BaseBackoff
+	for i := 1; i < n && d < o.MaxBackoff; i++ {
 		d *= 2
 	}
-	if d > c.opt.MaxBackoff {
-		d = c.opt.MaxBackoff
+	if d > o.MaxBackoff {
+		d = o.MaxBackoff
 	}
 	half := d / 2
-	return half + time.Duration(c.opt.Rand.Int63n(int64(half)+1))
+	return half + time.Duration(o.Rand.Int63n(int64(half)+1))
 }
 
 // remoteErr maps a non-OK verdict to an error wrapping wire.ErrRemote.
@@ -288,13 +241,46 @@ func remoteErr(resp wire.Response) error {
 	return fmt.Errorf("%w: %s: %s", wire.ErrRemote, resp.Status, resp.Err)
 }
 
+// call is the one path of every typed call: Do, then remoteErr on the
+// verdict.
+func (c *Client) call(req wire.Request) (wire.Response, error) {
+	resp, err := c.Do(req)
+	if err != nil {
+		return wire.Response{}, err
+	}
+	if err := remoteErr(resp); err != nil {
+		return wire.Response{}, err
+	}
+	return resp, nil
+}
+
+// callDecode is call plus a decode of the result bytes; a result that
+// does not decode fails as "client: <what>: ...".
+func callDecode[T any](c *Client, req wire.Request, what string, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	resp, err := c.call(req)
+	if err != nil {
+		return zero, err
+	}
+	v, err := decode(resp.Result)
+	if err != nil {
+		return zero, fmt.Errorf("client: %s: %w", what, err)
+	}
+	return v, nil
+}
+
+// unflatten decodes a flattened handler result; an empty result is nil.
+func unflatten(b []byte) (value.Value, error) {
+	if len(b) == 0 {
+		return nil, nil
+	}
+	return value.Unflatten(b)
+}
+
 // Ping checks the server is reachable and serving.
 func (c *Client) Ping() error {
-	resp, err := c.Do(wire.Request{Op: wire.OpPing})
-	if err != nil {
-		return err
-	}
-	return remoteErr(resp)
+	_, err := c.call(wire.Request{Op: wire.OpPing})
+	return err
 }
 
 // Invoke calls a handler as a complete server-side atomic action and
@@ -315,21 +301,7 @@ func (c *Client) invoke(sh uint32, aid ids.ActionID, handler string, arg value.V
 	if arg != nil {
 		req.Arg = value.Flatten(arg, func(value.Obj) {})
 	}
-	resp, err := c.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Result) == 0 {
-		return nil, nil
-	}
-	v, err := value.Unflatten(resp.Result)
-	if err != nil {
-		return nil, fmt.Errorf("client: result: %w", err)
-	}
-	return v, nil
+	return callDecode(c, req, "result", unflatten)
 }
 
 // Prepare delivers a prepare message for aid and returns the vote.
@@ -339,11 +311,8 @@ func (c *Client) Prepare(aid ids.ActionID) (twopc.Vote, error) {
 
 // PrepareShard is Prepare addressed to a shard's guardian.
 func (c *Client) PrepareShard(sh uint32, aid ids.ActionID) (twopc.Vote, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpPrepare, AID: aid, Shard: sh})
+	resp, err := c.call(wire.Request{Op: wire.OpPrepare, AID: aid, Shard: sh})
 	if err != nil {
-		return 0, err
-	}
-	if err := remoteErr(resp); err != nil {
 		return 0, err
 	}
 	return twopc.Vote(resp.Vote), nil
@@ -356,11 +325,8 @@ func (c *Client) Commit(aid ids.ActionID) error {
 
 // CommitShard is Commit addressed to a shard's guardian.
 func (c *Client) CommitShard(sh uint32, aid ids.ActionID) error {
-	resp, err := c.Do(wire.Request{Op: wire.OpCommit, AID: aid, Shard: sh})
-	if err != nil {
-		return err
-	}
-	return remoteErr(resp)
+	_, err := c.call(wire.Request{Op: wire.OpCommit, AID: aid, Shard: sh})
+	return err
 }
 
 // Abort delivers an abort message for aid.
@@ -370,11 +336,8 @@ func (c *Client) Abort(aid ids.ActionID) error {
 
 // AbortShard is Abort addressed to a shard's guardian.
 func (c *Client) AbortShard(sh uint32, aid ids.ActionID) error {
-	resp, err := c.Do(wire.Request{Op: wire.OpAbort, AID: aid, Shard: sh})
-	if err != nil {
-		return err
-	}
-	return remoteErr(resp)
+	_, err := c.call(wire.Request{Op: wire.OpAbort, AID: aid, Shard: sh})
+	return err
 }
 
 // Outcome asks the server's guardian, as coordinator of aid, for the
@@ -385,11 +348,8 @@ func (c *Client) Outcome(aid ids.ActionID) (twopc.Outcome, error) {
 
 // OutcomeShard is Outcome addressed to a shard's guardian.
 func (c *Client) OutcomeShard(sh uint32, aid ids.ActionID) (twopc.Outcome, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpOutcome, AID: aid, Shard: sh})
+	resp, err := c.call(wire.Request{Op: wire.OpOutcome, AID: aid, Shard: sh})
 	if err != nil {
-		return twopc.OutcomeUnknown, err
-	}
-	if err := remoteErr(resp); err != nil {
 		return twopc.OutcomeUnknown, err
 	}
 	return twopc.Outcome(resp.Outcome), nil

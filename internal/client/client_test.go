@@ -317,3 +317,126 @@ func TestBackoffCaps(t *testing.T) {
 		}
 	}
 }
+
+// desyncDial serves each connection by reading one batch of n request
+// frames and answering with the frames reply builds from their corr
+// ids, then hanging up.
+func desyncDial(n int, reply func(corrs []uint64) []wire.Frame, dials *int) func(string, time.Duration) (net.Conn, error) {
+	return func(string, time.Duration) (net.Conn, error) {
+		*dials++
+		cli, srv := net.Pipe()
+		go func() {
+			defer srv.Close()
+			corrs := make([]uint64, n)
+			for i := range corrs {
+				f, err := wire.ReadFrame(srv)
+				if err != nil {
+					return
+				}
+				corrs[i] = f.CorrID
+			}
+			for _, f := range reply(corrs) {
+				if err := wire.WriteFrame(srv, f); err != nil {
+					return
+				}
+			}
+		}()
+		return cli, nil
+	}
+}
+
+// TestDesyncNeverPooled: the one exchange path treats any reply it did
+// not ask for — a foreign corr id, a request-typed frame, a corr id
+// answered twice — as a desynchronized stream. The call fails
+// ErrUnreachable, and no attempt's connection returns to the pool: each
+// retry dials afresh.
+func TestDesyncNeverPooled(t *testing.T) {
+	okPayload := wire.EncodeResponse(wire.Response{Status: wire.StatusOK})
+	foreign := func(corrs []uint64) []wire.Frame {
+		out := make([]wire.Frame, len(corrs))
+		for i, c := range corrs {
+			out[i] = wire.Frame{Type: wire.TypeResponse, CorrID: c + 1000, Payload: okPayload}
+		}
+		return out
+	}
+	requestTyped := func(corrs []uint64) []wire.Frame {
+		out := make([]wire.Frame, len(corrs))
+		for i, c := range corrs {
+			out[i] = wire.Frame{Type: wire.TypeRequest, CorrID: c, Payload: okPayload}
+		}
+		return out
+	}
+	duplicate := func(corrs []uint64) []wire.Frame {
+		out := make([]wire.Frame, len(corrs))
+		for i := range corrs {
+			out[i] = wire.Frame{Type: wire.TypeResponse, CorrID: corrs[0], Payload: okPayload}
+		}
+		return out
+	}
+	ping := wire.Request{Op: wire.OpPing}
+	for _, tc := range []struct {
+		name  string
+		batch int // 0: Do
+		reply func([]uint64) []wire.Frame
+	}{
+		{"Do/foreign-corr", 0, foreign},
+		{"Do/request-frame", 0, requestTyped},
+		{"DoBatch/foreign-corr", 3, foreign},
+		{"DoBatch/request-frame", 3, requestTyped},
+		{"DoBatch/duplicate-corr", 3, duplicate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := max(tc.batch, 1)
+			dials := 0
+			c := New("desync", Options{
+				MaxAttempts: 3,
+				Clock:       newFakeClock(),
+				Rand:        &fakeRand{},
+				Dial:        desyncDial(n, tc.reply, &dials),
+			})
+			var err error
+			if tc.batch == 0 {
+				_, err = c.Do(ping)
+			} else {
+				reqs := make([]wire.Request, n)
+				for i := range reqs {
+					reqs[i] = ping
+				}
+				_, err = c.DoBatch(reqs)
+			}
+			if !errors.Is(err, ErrUnreachable) {
+				t.Fatalf("err = %v, want ErrUnreachable", err)
+			}
+			if dials != 3 {
+				t.Fatalf("dialed %d times over 3 attempts; a desynchronized conn was reused", dials)
+			}
+			c.mu.Lock()
+			idle := len(c.idle)
+			c.mu.Unlock()
+			if idle != 0 {
+				t.Fatalf("%d desynchronized conns pooled", idle)
+			}
+		})
+	}
+}
+
+// TestOversizedRequestFailsFast: a request that cannot be framed fails
+// at once wrapping wire.ErrOversize, before any dial or backoff.
+func TestOversizedRequestFailsFast(t *testing.T) {
+	sc := &script{respond: func(wire.Request) *wire.Response { return ok() }}
+	clk := newFakeClock()
+	c := newTestClient(sc, clk, &fakeRand{}, nil)
+	big := wire.Request{Op: wire.OpInvoke, Handler: "put", Arg: make([]byte, wire.MaxPayload)}
+	if _, err := c.Do(big); !errors.Is(err, wire.ErrOversize) {
+		t.Fatalf("Do err = %v, want wire.ErrOversize", err)
+	}
+	if _, err := c.DoBatch([]wire.Request{{Op: wire.OpPing}, big}); !errors.Is(err, wire.ErrOversize) {
+		t.Fatalf("DoBatch err = %v, want wire.ErrOversize", err)
+	}
+	if n := sc.dialCount(); n != 0 {
+		t.Fatalf("dialed %d times for oversized requests, want 0", n)
+	}
+	if len(clk.slept()) != 0 {
+		t.Fatalf("slept %v before failing an oversized request", clk.slept())
+	}
+}

@@ -16,18 +16,7 @@ import (
 
 // repCall sends one rep.* request and decodes the ack.
 func (c *Client) repCall(op wire.Op, arg []byte) (wire.RepAck, error) {
-	resp, err := c.Do(wire.Request{Op: op, Arg: arg})
-	if err != nil {
-		return wire.RepAck{}, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return wire.RepAck{}, err
-	}
-	ack, err := wire.DecodeRepAck(resp.Result)
-	if err != nil {
-		return wire.RepAck{}, fmt.Errorf("client: rep ack: %w", err)
-	}
-	return ack, nil
+	return callDecode(c, wire.Request{Op: op, Arg: arg}, "rep ack", wire.DecodeRepAck)
 }
 
 // RepAppend ships a frame run to the server's hosted backup.
@@ -48,18 +37,7 @@ func (c *Client) RepSnapshot(snap wire.RepSnapshot) (wire.RepAck, error) {
 // Status reports the server's replication role and health plus one
 // row per hosted shard.
 func (c *Client) Status() (wire.StatusReport, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpStatus})
-	if err != nil {
-		return wire.StatusReport{}, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return wire.StatusReport{}, err
-	}
-	st, err := wire.DecodeStatusReport(resp.Result)
-	if err != nil {
-		return wire.StatusReport{}, fmt.Errorf("client: status: %w", err)
-	}
-	return st, nil
+	return callDecode(c, wire.Request{Op: wire.OpStatus}, "status", wire.DecodeStatusReport)
 }
 
 // Promote tells the server's hosted backup to take over as the
@@ -82,18 +60,7 @@ func (c *Client) PromoteMin(minDurable uint64) (wire.RepStatus, error) {
 }
 
 func (c *Client) promote(arg []byte) (wire.RepStatus, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpPromote, Arg: arg})
-	if err != nil {
-		return wire.RepStatus{}, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return wire.RepStatus{}, err
-	}
-	st, err := wire.DecodeRepStatus(resp.Result)
-	if err != nil {
-		return wire.RepStatus{}, fmt.Errorf("client: promote: %w", err)
-	}
-	return st, nil
+	return callDecode(c, wire.Request{Op: wire.OpPromote, Arg: arg}, "promote", wire.DecodeRepStatus)
 }
 
 // RemoteReplica is a client-side stub presenting a rosd server's

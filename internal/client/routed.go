@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/ids"
 	"repro/internal/obs"
@@ -192,7 +191,7 @@ func (r *Routed) call(key string, fn func(c *Client, sh uint32) error) error {
 		if attempt >= r.opt.MaxAttempts {
 			return fmt.Errorf("client: key %q still misrouted after %d attempts: %w", key, attempt, err)
 		}
-		r.opt.Clock.Sleep(r.backoffRoute(attempt))
+		r.opt.Clock.Sleep(r.opt.backoff(attempt))
 	}
 }
 
@@ -213,13 +212,6 @@ func (r *Routed) routeCorrection(sh uint64, haveVersion uint64, wse *WrongShardE
 	}
 	//roslint:besteffort refresh failure leaves the old table; the retry loop bounds further attempts
 	_, _ = r.Refresh()
-}
-
-// backoffRoute paces wrong-shard retries exactly like the per-client
-// transport backoff.
-func (r *Routed) backoffRoute(n int) time.Duration {
-	c := Client{opt: r.opt}
-	return c.backoff(n)
 }
 
 // Get routes a read of key's committed value (OpGet, the index-served

@@ -1,10 +1,11 @@
 package client
 
-// Shard-addressed calls. Every request carries a shard id; the server
-// dispatches it to the owning guardian in its registry and refuses
-// with StatusWrongShard — carrying its routing table in-band — when it
-// does not host the shard. Shard zero is the default guardian, which
-// keeps every pre-sharding call site working unchanged.
+// Shard-addressed calls. Every request carries a shard id, and the
+// server looks it up in its guardian registry: a hit dispatches to the
+// owning guardian, a miss is refused with StatusWrongShard carrying
+// the server's routing table in-band. Registry entry 0 is the node's
+// default guardian (routing tables never use id 0), so every
+// pre-sharding call site, which sends shard 0, works unchanged.
 
 import (
 	"fmt"
@@ -56,115 +57,53 @@ func (c *Client) InvokeJoinShard(sh uint32, aid ids.ActionID, handler string, ar
 // record: Committing and Done store its 2PC decisions, and in-doubt
 // participants resolve through OutcomeShard against it.
 func (c *Client) Begin(sh uint32) (ids.ActionID, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpBegin, Shard: sh})
-	if err != nil {
-		return ids.ActionID{}, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return ids.ActionID{}, err
-	}
-	aid, err := wire.DecodeActionID(resp.Result)
-	if err != nil {
-		return ids.ActionID{}, fmt.Errorf("client: begin: %w", err)
-	}
-	return aid, nil
+	return callDecode(c, wire.Request{Op: wire.OpBegin, Shard: sh}, "begin", wire.DecodeActionID)
 }
 
 // Committing asks the coordinating shard's guardian to force aid's
 // committing record — the 2PC point of no return — naming the
 // prepared participants.
 func (c *Client) Committing(sh uint32, aid ids.ActionID, gids []ids.GuardianID) error {
-	resp, err := c.Do(wire.Request{
+	_, err := c.call(wire.Request{
 		Op: wire.OpCommitting, AID: aid, Shard: sh,
 		Arg: wire.EncodeGuardianIDs(gids),
 	})
-	if err != nil {
-		return err
-	}
-	return remoteErr(resp)
+	return err
 }
 
 // Done asks the coordinating shard's guardian to record that every
 // participant learned aid's outcome, releasing the committing record.
 func (c *Client) Done(sh uint32, aid ids.ActionID) error {
-	resp, err := c.Do(wire.Request{Op: wire.OpDone, AID: aid, Shard: sh})
-	if err != nil {
-		return err
-	}
-	return remoteErr(resp)
+	_, err := c.call(wire.Request{Op: wire.OpDone, AID: aid, Shard: sh})
+	return err
 }
 
 // Route fetches the server's routing table.
 func (c *Client) Route() (shard.Table, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpRoute})
-	if err != nil {
-		return shard.Table{}, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return shard.Table{}, err
-	}
-	t, err := shard.Decode(resp.Result)
-	if err != nil {
-		return shard.Table{}, fmt.Errorf("client: route: %w", err)
-	}
-	return t, nil
+	return callDecode(c, wire.Request{Op: wire.OpRoute}, "route", shard.Decode)
 }
 
 // RouteInstall offers the server a routing table. The server installs
 // it only when strictly newer than its own and answers its current
 // table either way.
 func (c *Client) RouteInstall(t shard.Table) (shard.Table, error) {
-	resp, err := c.Do(wire.Request{Op: wire.OpRouteInstall, Arg: t.Encode()})
-	if err != nil {
-		return shard.Table{}, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return shard.Table{}, err
-	}
-	cur, err := shard.Decode(resp.Result)
-	if err != nil {
-		return shard.Table{}, fmt.Errorf("client: route install: %w", err)
-	}
-	return cur, nil
+	return callDecode(c, wire.Request{Op: wire.OpRouteInstall, Arg: t.Encode()}, "route install", shard.Decode)
 }
 
 // Handoff asks the server to transfer a hosted shard to the node at
 // target, returning the version-bumped routing table it published.
 func (c *Client) Handoff(sh uint32, target string) (shard.Table, error) {
-	resp, err := c.Do(wire.Request{
+	req := wire.Request{
 		Op:  wire.OpHandoff,
 		Arg: wire.EncodeHandoffReq(wire.HandoffReq{Shard: sh, Target: target}),
-	})
-	if err != nil {
-		return shard.Table{}, err
 	}
-	if err := remoteErr(resp); err != nil {
-		return shard.Table{}, err
-	}
-	t, err := shard.Decode(resp.Result)
-	if err != nil {
-		return shard.Table{}, fmt.Errorf("client: handoff: %w", err)
-	}
-	return t, nil
+	return callDecode(c, req, "handoff", shard.Decode)
 }
 
 // HandoffInstall ships one handoff chunk to the receiving server.
 func (c *Client) HandoffInstall(hf wire.HandoffFrames) (wire.RepAck, error) {
-	resp, err := c.Do(wire.Request{
-		Op:  wire.OpHandoffInstall,
-		Arg: wire.EncodeHandoffFrames(hf),
-	})
-	if err != nil {
-		return wire.RepAck{}, err
-	}
-	if err := remoteErr(resp); err != nil {
-		return wire.RepAck{}, err
-	}
-	ack, err := wire.DecodeRepAck(resp.Result)
-	if err != nil {
-		return wire.RepAck{}, fmt.Errorf("client: handoff install: %w", err)
-	}
-	return ack, nil
+	req := wire.Request{Op: wire.OpHandoffInstall, Arg: wire.EncodeHandoffFrames(hf)}
+	return callDecode(c, req, "handoff install", wire.DecodeRepAck)
 }
 
 // CoordLog returns a twopc.CoordinatorLog that stores the committing

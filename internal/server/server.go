@@ -1,6 +1,8 @@
 // Package server implements rosd, the networked serving layer: a TCP
-// front door over one guardian and its recovery system, speaking the
-// internal/wire protocol.
+// front door over a guardian registry, speaking the internal/wire
+// protocol. Every request names a registry entry by its shard id;
+// entry 0 is the node's default guardian (routing tables never use id
+// 0), and a sharded node registers one guardian per hosted shard.
 //
 // The ROADMAP's north star is a store "serving heavy traffic from
 // millions of users"; until this package, nothing could reach a
@@ -127,19 +129,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves one guardian over TCP.
+// Server serves a guardian registry over TCP.
 type Server struct {
 	cfg Config
 	tr  obs.Tracer
 
-	gmu sync.Mutex
-	g   *guardian.Guardian // swapped by OpPromote on a backup server
-
-	// smu guards the shard registry and routing table. It is a leaf
+	// smu guards the guardian registry and routing table. It is a leaf
 	// lock: held only to read or swap the maps below, never across a
 	// guardian call, a device write, or an emission — so it can never
 	// participate in a cycle with guardian or log locks.
-	smu      sync.Mutex
+	smu sync.Mutex
+	// shards is the guardian registry, keyed by shard id. Entry 0 is
+	// the default guardian: set by New, or installed by OpPromote on a
+	// backup server.
 	shards   map[uint32]*guardian.Guardian
 	table    *shard.Table
 	handoffs map[uint32]*replog.Backup // inbound handoffs, keyed by shard
@@ -190,11 +192,12 @@ func (c *conn) close() {
 	c.closeOnce.Do(func() { _ = c.nc.Close() })
 }
 
-// New returns a Server over g. The guardian's handlers (registered
-// with RegisterHandler) are its external interface; the server adds
-// only the network in front of them. g may be nil only when cfg hosts
-// a Backup: the server then serves nothing but the rep.* ops until an
-// OpPromote recovers and installs the guardian.
+// New returns a Server whose default guardian (registry entry 0) is g.
+// The guardian's handlers (registered with RegisterHandler) are its
+// external interface; the server adds only the network in front of
+// them. g is nil on a backup server, which serves nothing but the
+// rep.* ops until an OpPromote recovers and installs the guardian, and
+// on a sharded node, whose guardians AddShard registers.
 func New(g *guardian.Guardian, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	gid := uint64(0)
@@ -205,7 +208,6 @@ func New(g *guardian.Guardian, cfg Config) *Server {
 		gid = uint64(cfg.Backup.ID())
 	}
 	s := &Server{
-		g:        g,
 		cfg:      cfg,
 		tr:       obs.WithGuardian(cfg.Tracer, gid),
 		shards:   make(map[uint32]*guardian.Guardian),
@@ -214,15 +216,10 @@ func New(g *guardian.Guardian, cfg Config) *Server {
 		conns:    make(map[*conn]bool),
 		closed:   make(chan struct{}),
 	}
+	if g != nil {
+		s.shards[0] = g
+	}
 	return s
-}
-
-// guardian returns the currently served guardian (nil on a backup
-// server before promotion).
-func (s *Server) guardian() *guardian.Guardian {
-	s.gmu.Lock()
-	defer s.gmu.Unlock()
-	return s.g
 }
 
 func (s *Server) emit(e obs.Event) {
@@ -495,11 +492,6 @@ func (s *Server) execute(req wire.Request) wire.Response {
 	if miss != nil {
 		return *miss
 	}
-	if g == nil {
-		// A backup serves nothing until promoted; the client's retry
-		// loop rides out the failover window.
-		return wire.Response{Status: wire.StatusRetry, Err: "backup not promoted"}
-	}
 	switch req.Op {
 	case wire.OpInvoke:
 		return s.invoke(g, req)
@@ -593,7 +585,7 @@ func (s *Server) status() wire.RepStatus {
 		return s.cfg.Backup.Status()
 	}
 	st := wire.RepStatus{Role: wire.RoleStandalone}
-	if g := s.guardian(); g != nil {
+	if g, ok := s.Shard(0); ok {
 		if site := g.Site(); site != nil {
 			st.Durable, _ = site.Log().TailInfo()
 			st.QuorumBytes = st.Durable
@@ -604,7 +596,7 @@ func (s *Server) status() wire.RepStatus {
 
 // promote makes the hosted backup take over: bump its epoch (fencing
 // the deposed primary), run crash recovery over the received prefix,
-// and install the recovered guardian as the served one. Idempotent —
+// and install the recovered guardian as registry entry 0. Idempotent —
 // a repeated promote re-answers the post-takeover status. A request
 // carrying a RepPromote floor is refused when the backup's received
 // prefix falls short of it: the operator is naming the deposed
@@ -630,10 +622,10 @@ func (s *Server) promote(req wire.Request) wire.Response {
 	if err != nil {
 		return wire.Response{Status: wire.StatusError, Err: err.Error()}
 	}
-	s.gmu.Lock()
-	installed := s.g != g
-	s.g = g
-	s.gmu.Unlock()
+	s.smu.Lock()
+	installed := s.shards[0] != g
+	s.shards[0] = g
+	s.smu.Unlock()
 	if installed && s.cfg.OnPromote != nil {
 		s.cfg.OnPromote(g)
 	}
@@ -706,14 +698,17 @@ func failure(err error) wire.Response {
 	return wire.Response{Status: wire.StatusError, Err: err.Error()}
 }
 
-// Guardian returns the served guardian (nil on a backup server before
-// promotion).
-func (s *Server) Guardian() *guardian.Guardian { return s.guardian() }
+// Guardian returns the default guardian, registry entry 0 (nil on a
+// backup server before promotion, and on a sharded node).
+func (s *Server) Guardian() *guardian.Guardian {
+	g, _ := s.Shard(0)
+	return g
+}
 
-// ID returns the served guardian's id — for an unpromoted backup
+// ID returns the default guardian's id — for an unpromoted backup
 // server, the backup's own id.
 func (s *Server) ID() ids.GuardianID {
-	if g := s.guardian(); g != nil {
+	if g, ok := s.Shard(0); ok {
 		return g.ID()
 	}
 	if s.cfg.Backup != nil {

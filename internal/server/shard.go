@@ -16,6 +16,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -33,6 +34,9 @@ import (
 // handoffChunk bounds one shipped frame run; a shard's compacted log
 // crosses the wire in runs well under wire.MaxPayload.
 const handoffChunk = 256 << 10
+
+// errShardZero refuses an inbound handoff naming shard 0.
+var errShardZero = errors.New("server: handoff of shard 0, the default guardian's registry entry")
 
 // AddShard registers g as the guardian owning shard id. Requests whose
 // header names id dispatch to g from the next request on.
@@ -97,20 +101,22 @@ func (s *Server) Table() (shard.Table, bool) {
 	return *s.table, true
 }
 
-// resolve maps a request's shard id to its guardian. Shard zero is the
-// default guardian (the pre-sharding contract); an unhosted nonzero
-// shard yields the StatusWrongShard refusal, carrying the current
-// table so the caller can re-route without a second round trip.
+// resolve maps a request's shard id to its guardian with one registry
+// lookup; id 0 is the default guardian. A miss on 0 while a backup is
+// hosted answers StatusRetry — a backup serves nothing until promoted,
+// and the client's retry loop rides out the failover window. Any other
+// miss yields the StatusWrongShard refusal, carrying the current table
+// so the caller can re-route without a second round trip.
 func (s *Server) resolve(id uint32) (*guardian.Guardian, *wire.Response) {
-	if id == 0 {
-		return s.guardian(), nil
-	}
 	s.smu.Lock()
 	g, ok := s.shards[id]
 	tbl := s.table
 	s.smu.Unlock()
 	if ok {
 		return g, nil
+	}
+	if id == 0 && s.cfg.Backup != nil {
+		return nil, &wire.Response{Status: wire.StatusRetry, Err: "backup not promoted"}
 	}
 	resp := wire.Response{Status: wire.StatusWrongShard, Err: fmt.Sprintf("shard %d not hosted here", id)}
 	var version uint64
@@ -151,8 +157,9 @@ func (s *Server) routeInstall(req wire.Request) wire.Response {
 
 // statusReport builds the OpStatus answer: the node-level replication
 // report plus one row per hosted shard, in ascending id order. The
-// node-level idx.* counters aggregate every hosted guardian (default
-// plus shards); each shard row carries its own guardian's.
+// node-level idx.* counters aggregate every registered guardian; each
+// shard row carries its own guardian's. The default guardian (entry 0)
+// is the node itself and gets no row.
 func (s *Server) statusReport() wire.StatusReport {
 	rep := wire.StatusReport{Rep: s.status()}
 	s.smu.Lock()
@@ -168,26 +175,24 @@ func (s *Server) statusReport() wire.StatusReport {
 	s.smu.Unlock()
 	// Durable boundaries and index counters are read outside smu:
 	// TailInfo takes log locks, and smu stays a leaf.
-	if g := s.guardian(); g != nil {
-		if st, ok := g.IndexStats(); ok {
+	for i, id := range ids {
+		st, indexed := guardians[i].IndexStats()
+		if indexed {
 			rep.Rep.IdxHits += st.Hits
 			rep.Rep.IdxMisses += st.Misses
 			rep.Rep.IdxEntries += uint64(st.Entries)
 			rep.Rep.IdxBytes += uint64(st.Bytes)
 		}
-	}
-	for i, id := range ids {
+		if id == 0 {
+			continue
+		}
 		row := wire.ShardStatus{ID: id, Role: wire.RoleStandalone}
 		if site := guardians[i].Site(); site != nil {
 			row.Durable, _ = site.Log().TailInfo()
 		}
-		if st, ok := guardians[i].IndexStats(); ok {
+		if indexed {
 			row.IdxHits = st.Hits
 			row.IdxMisses = st.Misses
-			rep.Rep.IdxHits += st.Hits
-			rep.Rep.IdxMisses += st.Misses
-			rep.Rep.IdxEntries += uint64(st.Entries)
-			rep.Rep.IdxBytes += uint64(st.Bytes)
 		}
 		rep.Shards = append(rep.Shards, row)
 	}
@@ -306,6 +311,9 @@ func (s *Server) handoffInstall(req wire.Request) wire.Response {
 		return wire.Response{Status: wire.StatusBadRequest, Err: err.Error()}
 	}
 	ack, err := s.ApplyHandoff(hf)
+	if errors.Is(err, errShardZero) {
+		return wire.Response{Status: wire.StatusBadRequest, Err: err.Error()}
+	}
 	if err != nil {
 		return wire.Response{Status: wire.StatusError, Err: err.Error()}
 	}
@@ -318,8 +326,12 @@ func (s *Server) handoffInstall(req wire.Request) wire.Response {
 // the guardian over the received prefix, registers it, and installs
 // the shipped table. Idempotent: a resent run is refused with the
 // already-advanced tail acked, and a resent Done re-acks an adopted
-// shard.
+// shard. Shard 0 is refused before any receiver exists: registry entry
+// 0 is the default guardian, and no routing table names it.
 func (s *Server) ApplyHandoff(hf wire.HandoffFrames) (wire.RepAck, error) {
+	if hf.Shard == 0 {
+		return wire.RepAck{}, errShardZero
+	}
 	s.smu.Lock()
 	if g, adopted := s.shards[hf.Shard]; adopted {
 		s.smu.Unlock()

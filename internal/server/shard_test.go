@@ -321,3 +321,77 @@ func TestHandoffMovesShard(t *testing.T) {
 		t.Fatalf("resent done ack = %+v, want applied at the adopted tail", ack)
 	}
 }
+
+// TestHandoffRefusesShardZero: registry entry 0 is the default
+// guardian and no routing table names it, so an inbound handoff of
+// shard 0 is a bad request, refused before any receiver exists.
+func TestHandoffRefusesShardZero(t *testing.T) {
+	g := newCounterGuardian(t, 1)
+	s, addr := startServer(t, g, Config{})
+	run := wire.HandoffFrames{
+		Shard: 0, Backend: uint8(g.Backend()), BlockSize: uint32(g.VolumeBlockSize()),
+		App: wire.RepAppend{Epoch: 1},
+	}
+	resp, err := dialRaw(t, addr).call(wire.Request{Op: wire.OpHandoffInstall, Arg: wire.EncodeHandoffFrames(run)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != wire.StatusBadRequest {
+		t.Fatalf("shard-0 handoff install status = %s (%s), want bad-request", resp.Status, resp.Err)
+	}
+	done := run
+	done.Done = true
+	if _, err := s.ApplyHandoff(done); err == nil {
+		t.Fatal("shard-0 handoff done step accepted")
+	}
+	s.smu.Lock()
+	receivers := len(s.handoffs)
+	s.smu.Unlock()
+	if receivers != 0 {
+		t.Fatalf("%d handoff receivers created for shard 0", receivers)
+	}
+	if s.Guardian() != g {
+		t.Fatal("shard-0 handoff displaced the default guardian")
+	}
+	c := client.New(addr, fastOpts())
+	t.Cleanup(func() { c.Close() })
+	st, err := c.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Shards) != 0 {
+		t.Fatalf("status rows = %+v, want none", st.Shards)
+	}
+}
+
+// TestShardZeroOnShardedNode: a sharded node (no default guardian and
+// no backup, as rosd -shards builds it) refuses a shard-0 request with
+// its routing table at once, instead of answering StatusRetry through
+// the whole retry budget as if a backup awaited promotion.
+func TestShardZeroOnShardedNode(t *testing.T) {
+	s, addr := startServer(t, nil, Config{})
+	s.AddShard(2, newCounterGuardian(t, 2))
+	tbl := shard.Table{Version: 1, Kind: shard.KindHash, Shards: []shard.Shard{{ID: 2, Addr: addr}}}
+	if err := s.InstallTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	rec := &obs.Recorder{}
+	opts := fastOpts()
+	opts.Tracer = rec
+	c := client.New(addr, opts)
+	t.Cleanup(func() { c.Close() })
+
+	_, err := c.Get("k")
+	var wse *client.WrongShardError
+	if !errors.Is(err, transport.ErrWrongShard) || !errors.As(err, &wse) {
+		t.Fatalf("shard-0 get err = %v, want wrong-shard", err)
+	}
+	if inband, err := wse.Table(); err != nil || inband.Version != 1 {
+		t.Fatalf("in-band table = %+v, %v; want v1", inband, err)
+	}
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindRPCRetry {
+			t.Fatalf("shard-0 get retried: %+v", e)
+		}
+	}
+}

@@ -228,20 +228,28 @@ func appendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// takeUvarint consumes a uvarint from b. Non-minimal encodings (a
+// zero final byte carries no bits) are rejected, so every message has
+// exactly one valid encoding.
+func takeUvarint(b []byte) (uint64, []byte, error) {
+	n, used := binary.Uvarint(b)
+	if used <= 0 {
+		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrBadMessage)
+	}
+	if used > 1 && b[used-1] == 0 {
+		return 0, nil, fmt.Errorf("%w: non-minimal uvarint", ErrBadMessage)
+	}
+	return n, b[used:], nil
+}
+
 // takeBytes consumes a uvarint-prefixed byte string from b. The
 // length is validated against what remains before any slicing, so a
 // corrupt prefix cannot read out of bounds (the result aliases b).
 func takeBytes(b []byte) ([]byte, []byte, error) {
-	n, used := binary.Uvarint(b)
-	if used <= 0 {
-		return nil, nil, fmt.Errorf("%w: bad length prefix", ErrBadMessage)
+	n, rest, err := takeUvarint(b)
+	if err != nil {
+		return nil, nil, err
 	}
-	// Reject non-minimal varints (a zero final byte carries no bits),
-	// so every message has exactly one valid encoding.
-	if used > 1 && b[used-1] == 0 {
-		return nil, nil, fmt.Errorf("%w: non-minimal length prefix", ErrBadMessage)
-	}
-	rest := b[used:]
 	if n > uint64(len(rest)) {
 		return nil, nil, fmt.Errorf("%w: length %d beyond %d remaining", ErrBadMessage, n, len(rest))
 	}

@@ -85,18 +85,6 @@ type StatusReport struct {
 
 const shardStatusSize = 29
 
-// takeUvarint consumes a minimally-encoded uvarint from b.
-func takeUvarint(b []byte) (uint64, []byte, error) {
-	n, used := binary.Uvarint(b)
-	if used <= 0 {
-		return 0, nil, fmt.Errorf("%w: bad uvarint", ErrBadMessage)
-	}
-	if used > 1 && b[used-1] == 0 {
-		return 0, nil, fmt.Errorf("%w: non-minimal uvarint", ErrBadMessage)
-	}
-	return n, b[used:], nil
-}
-
 // EncodeHandoffReq renders h as a request argument.
 func EncodeHandoffReq(h HandoffReq) []byte {
 	out := make([]byte, 0, 4+len(h.Target)+2)
