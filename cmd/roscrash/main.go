@@ -5,13 +5,19 @@
 // mode where guardians exchange funds under two-phase commit while
 // nodes crash (money conservation).
 //
-// With -sweep it instead runs the exhaustive crash-point sweep: for a
-// scripted history it crashes at every device write, every write of the
+// With -sweep it instead runs the exhaustive crash-point sweep
+// (crashtest.Sweep) over every topology. The single-guardian topology
+// crashes a scripted history at every device write, every write of the
 // recovery that follows, and once more inside the second recovery
 // (triple crash), with single-copy decay injected between crash and
-// recovery, and verifies the chapter 6 invariant at every point. On
-// failure it prints the exact (backend, seed, crash schedule) triple
-// and exits non-zero.
+// recovery, per seed and decay mode. The replicated topology crashes a
+// primary shipping its log to two backups at every write under each
+// backup-availability pattern and verifies the promoted backup, per
+// seed (simple and hybrid backends). The sharded topology crashes the
+// coordinator shard of a fixed cross-shard transfer history, once per
+// backend. Every point is verified against a serial oracle; on failure
+// roscrash prints the exact replay coordinates (topology, backend,
+// seed, decay, down pattern, crash schedule) and exits non-zero.
 //
 // Usage:
 //
@@ -100,36 +106,48 @@ func runSingle(b core.Backend) (failed bool) {
 	return failed
 }
 
-// runSweep exhausts every crash point of a scripted history per seed
-// and decay mode. A failure prints the exact replay coordinates —
-// backend, seed, decay mode, and the crash schedule (history write,
-// then nested recovery writes) — so the scenario can be rerun alone.
+// runSweep exhausts every crash point of each topology's history: the
+// single-guardian topology per seed and decay mode, the replicated one
+// per seed, and the sharded one (whose history has no seed) once. A
+// failure prints the exact replay coordinates so the scenario can be
+// rerun alone.
 func runSweep(b core.Backend) (failed bool) {
+	var cfgs []crashtest.SweepConfig
 	decays := []crashtest.DecayMode{
 		crashtest.DecayNone, crashtest.DecayDeviceA,
 		crashtest.DecayDeviceB, crashtest.DecayAlternate,
 	}
 	for seed := int64(1); seed <= int64(*seeds); seed++ {
 		for _, d := range decays {
-			cfg := crashtest.SweepConfig{
+			cfgs = append(cfgs, crashtest.SweepConfig{
 				Backend:   b,
 				Seed:      seed,
 				Steps:     *sweepSteps,
 				Mutex:     true,
 				Decay:     d,
 				Housekeep: b == core.BackendHybrid,
-			}
-			start := time.Now()
-			res, err := crashtest.Sweep(cfg)
-			if err != nil {
-				fmt.Printf("FAIL sweep  %-7v seed=%-3d decay=%-9v %v\n", b, seed, d, err)
-				failed = true
-				continue
-			}
-			fmt.Printf("ok   sweep  %-7v seed=%-3d decay=%-9v writes=%d points=%d recoveries=%d deepest=%d (%.2fs)\n",
-				b, seed, d, res.Writes, res.Points, res.Recoveries, res.Deepest,
-				time.Since(start).Seconds())
+			})
 		}
+	}
+	if b != core.BackendShadow { // shadowing has no log to replicate
+		for seed := int64(1); seed <= int64(*seeds); seed++ {
+			cfgs = append(cfgs, crashtest.SweepConfig{
+				Topology: crashtest.Replicated, Backend: b, Seed: seed, Steps: *sweepSteps,
+			})
+		}
+	}
+	cfgs = append(cfgs, crashtest.SweepConfig{Topology: crashtest.Sharded, Backend: b, Steps: *sweepSteps})
+	for _, cfg := range cfgs {
+		start := time.Now()
+		res, err := crashtest.Sweep(cfg)
+		if err != nil {
+			fmt.Printf("FAIL sweep  %-10v %-7v seed=%-3d decay=%-9v %v\n", cfg.Topology, b, cfg.Seed, cfg.Decay, err)
+			failed = true
+			continue
+		}
+		fmt.Printf("ok   sweep  %-10v %-7v seed=%-3d decay=%-9v writes=%d points=%d recoveries=%d deepest=%d (%.2fs)\n",
+			cfg.Topology, b, cfg.Seed, cfg.Decay, res.Writes, res.Points, res.Recoveries, res.Deepest,
+			time.Since(start).Seconds())
 	}
 	return failed
 }

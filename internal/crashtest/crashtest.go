@@ -215,7 +215,7 @@ func Run(cfg Config) (Result, error) {
 			err := a.Commit()
 			g.Crash()
 			res.Crashes++
-			g, err = restart(g)
+			g, err = recovered(guardian.Restart(g))
 			if err != nil {
 				return res, err
 			}
@@ -297,7 +297,7 @@ func Run(cfg Config) (Result, error) {
 		if rng.Intn(10) == 0 {
 			g.Crash()
 			res.Crashes++
-			g, err = restart(g)
+			g, err = recovered(guardian.Restart(g))
 			if err != nil {
 				return res, err
 			}
@@ -336,16 +336,20 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-func restart(g *guardian.Guardian) (*guardian.Guardian, error) {
-	ng, err := guardian.Restart(g)
+// recovered finishes every recovery the harnesses run: it pins
+// synchronous forces on the recovered guardian, so device write counts
+// stay a pure function of the schedule, and audits its structural
+// invariants (guardian.CheckRecovered). It passes a recovery error
+// through untouched.
+func recovered(g *guardian.Guardian, err error) (*guardian.Guardian, error) {
 	if err != nil {
 		return nil, err
 	}
-	ng.SetSynchronousForces(true)
-	if err := guardian.CheckRecovered(ng); err != nil {
+	g.SetSynchronousForces(true)
+	if err := guardian.CheckRecovered(g); err != nil {
 		return nil, err
 	}
-	return ng, nil
+	return g, nil
 }
 
 // resolveInDoubt settles actions that were prepared at the crash. The

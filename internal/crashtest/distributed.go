@@ -15,6 +15,7 @@ import (
 	"repro/internal/guardian"
 	"repro/internal/ids"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/twopc"
 	"repro/internal/value"
 )
@@ -81,73 +82,22 @@ func RunDistributed(cfg DistributedConfig) (DistributedResult, error) {
 		return int64(iv), nil
 	}
 
-	// settle recovers crashed guardians, resolves in-doubt actions via
-	// coordinator queries, and finishes unfinished coordinators.
+	// settle recovers crashed guardians, then settles two-phase commit
+	// across all of them.
 	settle := func() error {
 		for i, g := range gs {
 			if !netUp(net, g) {
 				net.SetDown(g.ID(), false)
-				ng, err := guardian.Restart(g)
+				ng, err := recovered(guardian.Restart(g))
 				if err != nil {
-					return err
-				}
-				ng.SetSynchronousForces(true)
-				if err := guardian.CheckRecovered(ng); err != nil {
 					return err
 				}
 				gs[i] = ng
 			}
 		}
-		// Coordinators first: finish phase two of committed actions.
-		for _, g := range gs {
-			for _, aid := range g.Unfinished() {
-				parts := make([]twopc.Participant, len(gs))
-				for i := range gs {
-					parts[i] = gs[i]
-				}
-				c := &twopc.Coordinator{Self: g.ID(), Net: net, Log: g}
-				if _, err := c.Complete(aid, parts); err != nil {
-					return err
-				}
-			}
-		}
-		// Participants query coordinators for in-doubt actions.
-		for _, g := range gs {
-			for _, aid := range g.InDoubt() {
-				coord := gs[int(aid.Coordinator)-1]
-				out, err := twopc.Query(net, g.ID(), coord, aid)
-				if err != nil {
-					return err
-				}
-				res.Queries++
-				switch out {
-				case twopc.OutcomeCommitted:
-					if err := g.HandleCommit(aid); err != nil {
-						return err
-					}
-				default:
-					if err := g.HandleAbort(aid); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		// Branches that never prepared still hold volatile locks at the
-		// survivors; their actions cannot have committed (commitment
-		// requires every participant's prepared vote), so abort them
-		// once the coordinator confirms.
-		for _, g := range gs {
-			for _, aid := range g.LiveActions() {
-				coord := gs[int(aid.Coordinator)-1]
-				if coord.OutcomeOf(aid) == twopc.OutcomeCommitted {
-					continue // a prepared branch settled above; leave it
-				}
-				if err := g.HandleAbort(aid); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		q, err := settle2PC(net, gs, nil)
+		res.Queries += q
+		return err
 	}
 
 	checkConservation := func(step int) error {
@@ -245,11 +195,10 @@ func RunDistributed(cfg DistributedConfig) (DistributedResult, error) {
 	}
 	for i, g := range gs {
 		g.Crash()
-		ng, err := guardian.Restart(g)
+		ng, err := recovered(guardian.Restart(g))
 		if err != nil {
 			return res, err
 		}
-		ng.SetSynchronousForces(true)
 		gs[i] = ng
 		res.Crashes++
 	}
@@ -260,6 +209,73 @@ func RunDistributed(cfg DistributedConfig) (DistributedResult, error) {
 		return res, err
 	}
 	return res, nil
+}
+
+// settle2PC finishes two-phase commit across the guardians after
+// recoveries (§2.2.2/§2.2.3), in three passes: coordinators re-drive
+// phase two of their unfinished committing actions; every in-doubt
+// branch queries its coordinator and applies the verdict; branches
+// that never prepared are aborted unless their coordinator committed
+// (commitment requires every participant's prepared vote, so only a
+// settled prepared branch can belong to a committed action). It
+// returns the number of outcome queries.
+func settle2PC(net *netsim.Network, gs []*guardian.Guardian, tr obs.Tracer) (queries int, err error) {
+	parts := make([]twopc.Participant, len(gs))
+	for i, g := range gs {
+		parts[i] = g
+	}
+	coordOf := func(aid ids.ActionID) (*guardian.Guardian, error) {
+		for _, g := range gs {
+			if g.ID() == aid.Coordinator {
+				return g, nil
+			}
+		}
+		return nil, fmt.Errorf("crashtest: no coordinator %v for %v", aid.Coordinator, aid)
+	}
+	for _, g := range gs {
+		for _, aid := range g.Unfinished() {
+			c := &twopc.Coordinator{Self: g.ID(), Net: net, Log: g, Tracer: tr}
+			if _, err := c.Complete(aid, parts); err != nil {
+				return queries, err
+			}
+		}
+	}
+	for _, g := range gs {
+		for _, aid := range g.InDoubt() {
+			coord, err := coordOf(aid)
+			if err != nil {
+				return queries, err
+			}
+			out, err := twopc.Query(net, g.ID(), coord, aid)
+			if err != nil {
+				return queries, err
+			}
+			queries++
+			if out == twopc.OutcomeCommitted {
+				err = g.HandleCommit(aid)
+			} else {
+				err = g.HandleAbort(aid)
+			}
+			if err != nil {
+				return queries, err
+			}
+		}
+	}
+	for _, g := range gs {
+		for _, aid := range g.LiveActions() {
+			coord, err := coordOf(aid)
+			if err != nil {
+				return queries, err
+			}
+			if coord.OutcomeOf(aid) == twopc.OutcomeCommitted {
+				continue
+			}
+			if err := g.HandleAbort(aid); err != nil {
+				return queries, err
+			}
+		}
+	}
+	return queries, nil
 }
 
 func netUp(net *netsim.Network, g *guardian.Guardian) bool {

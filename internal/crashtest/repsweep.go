@@ -3,16 +3,14 @@ package crashtest
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/guardian"
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/replog"
-	"repro/internal/stablelog"
 )
 
-// The replicated sweep extends the crash-point sweep across the
+// The Replicated topology extends the crash-point sweep across the
 // replication boundary: the same scripted history runs on a primary
 // whose log is shipped to two backups (quorum 2 of 3), the primary is
 // crashed at every device write, and at every crash point — crossed
@@ -21,94 +19,51 @@ import (
 // verified against the serial oracle. The property under test is the
 // package's reason to exist: an acknowledged commit is never lost to a
 // primary crash, because acknowledgment waited for a quorum and the
-// promoted backup is chosen from the quorum's survivors.
+// promoted backup is chosen from the quorum's survivors. An
+// acknowledged-but-lost commit surfaces as a takeover state older than
+// the interrupted step's pre-state.
 //
 // The sweep keeps one log generation (no housekeeping in the script):
 // within a generation the promotion rule is purely mechanical —
 // promote the backup with the most durable bytes — which is exactly
-// the rule RepSweep applies. Generation switches (snapshot resets,
+// the rule promoteBest applies. Generation switches (snapshot resets,
 // rejoin catch-up) are exercised by the replog unit tests; crossing
 // them mid-crash turns promotion into an operator decision the
 // deterministic sweep cannot script.
 
-// RepDownPattern selects which backup is unreachable for a whole
-// replayed history. Patterns that lose the quorum are not swept: a
-// quorum-less history cannot acknowledge, which the partition tests
-// cover directly.
-type RepDownPattern uint8
+// DownPattern selects which backup of a replicated sweep is
+// unreachable for a whole replayed history. Patterns that lose the
+// quorum are not swept: a quorum-less history cannot acknowledge,
+// which the partition tests cover directly. The other topologies run
+// under DownNone only.
+type DownPattern uint8
 
 const (
-	// RepDownNone keeps both backups reachable.
-	RepDownNone RepDownPattern = iota
-	// RepDownFirst partitions the lower-id backup away for the whole
+	// DownNone keeps both backups reachable.
+	DownNone DownPattern = iota
+	// DownFirst partitions the lower-id backup away for the whole
 	// history; every ack rides the second.
-	RepDownFirst
-	// RepDownSecond partitions the higher-id backup away.
-	RepDownSecond
+	DownFirst
+	// DownSecond partitions the higher-id backup away.
+	DownSecond
 )
 
-func (p RepDownPattern) String() string {
+func (p DownPattern) String() string {
 	switch p {
-	case RepDownNone:
+	case DownNone:
 		return "none"
-	case RepDownFirst:
+	case DownFirst:
 		return "first-down"
-	case RepDownSecond:
+	case DownSecond:
 		return "second-down"
 	default:
 		return fmt.Sprintf("down(%d)", uint8(p))
 	}
 }
 
-var repDownPatterns = []RepDownPattern{RepDownNone, RepDownFirst, RepDownSecond}
-
 // repBackupIDs are the sweep's backup addresses; the primary is
 // guardian 1, as everywhere in the crash harness.
 var repBackupIDs = [2]ids.GuardianID{101, 102}
-
-// RepSweepConfig parameterizes a replicated crash-point sweep.
-type RepSweepConfig struct {
-	Backend core.Backend
-	Seed    int64
-	// Steps is the number of scripted actions after the setup action.
-	Steps int
-	// BlockSize is the simulated device block size (default 512).
-	BlockSize int
-}
-
-// RepSweepResult summarizes one replicated sweep.
-type RepSweepResult struct {
-	// Writes is W, the primary's device write count for the undisturbed
-	// replicated history.
-	Writes int
-	// Points is the number of verified scenarios (crash write × down
-	// pattern).
-	Points int
-	// Promotions counts backup takeovers run and verified.
-	Promotions int
-}
-
-// RepSweepError identifies the failing scenario: the backend, seed,
-// availability pattern, and crash write, replayable exactly.
-type RepSweepError struct {
-	Backend core.Backend
-	Seed    int64
-	Down    RepDownPattern
-	// Crash is the primary device write the crash hit (0 = the
-	// counting run).
-	Crash int
-	// Step is the script step the crash interrupted (-1 for the setup
-	// phase, len(script) if the history completed).
-	Step int
-	Err  error
-}
-
-func (e *RepSweepError) Error() string {
-	return fmt.Sprintf("repsweep %v seed=%d down=%v crash=%d step=%d: %v",
-		e.Backend, e.Seed, e.Down, e.Crash, e.Step, e.Err)
-}
-
-func (e *RepSweepError) Unwrap() error { return e.Err }
 
 // repCluster is one scenario's replication fabric.
 type repCluster struct {
@@ -119,7 +74,7 @@ type repCluster struct {
 // newRepCluster builds the network and backups for one replay, marks
 // the pattern's backup down, and returns the install hook that wires
 // the primary's replicator onto the scripted guardian.
-func newRepCluster(cfg RepSweepConfig, down RepDownPattern, tr obs.Tracer) (*repCluster, func(*guardian.Guardian) error, error) {
+func newRepCluster(cfg SweepConfig, down DownPattern, tr obs.Tracer) (*repCluster, func(*guardian.Guardian) error, error) {
 	cl := &repCluster{net: netsim.New()}
 	cl.net.SetTracer(tr)
 	reps := make([]replog.Replica, 0, len(repBackupIDs))
@@ -134,18 +89,14 @@ func newRepCluster(cfg RepSweepConfig, down RepDownPattern, tr obs.Tracer) (*rep
 		reps = append(reps, b)
 	}
 	switch down {
-	case RepDownFirst:
+	case DownFirst:
 		cl.net.SetDown(repBackupIDs[0], true)
-	case RepDownSecond:
+	case DownSecond:
 		cl.net.SetDown(repBackupIDs[1], true)
 	}
 	install := func(g *guardian.Guardian) error {
-		site := g.Site()
-		if site == nil {
-			return fmt.Errorf("backend %v has no log site to replicate", cfg.Backend)
-		}
 		p, err := replog.NewPrimary(replog.Config{
-			Self: 1, Site: site, Quorum: 2, Net: cl.net, Replicas: reps, Tracer: tr,
+			Self: 1, Site: g.Site(), Quorum: 2, Net: cl.net, Replicas: reps, Tracer: tr,
 		})
 		if err != nil {
 			return err
@@ -166,12 +117,8 @@ func (cl *repCluster) promoteBest() (*guardian.Guardian, error) {
 	if cl.backups[1].Status().Durable > cl.backups[0].Status().Durable {
 		best = 1
 	}
-	g, err := cl.backups[best].Promote()
+	g, err := recovered(cl.backups[best].Promote())
 	if err != nil {
-		return nil, err
-	}
-	g.SetSynchronousForces(true)
-	if err := guardian.CheckRecovered(g); err != nil {
 		return nil, err
 	}
 	if err := resolveInDoubt(g); err != nil {
@@ -180,110 +127,34 @@ func (cl *repCluster) promoteBest() (*guardian.Guardian, error) {
 	return g, nil
 }
 
-// RepSweep runs the replicated crash-point sweep for one
-// configuration. It returns a *RepSweepError naming the failing
-// (backend, seed, pattern, crash write) tuple on the first violation —
-// in particular on any acknowledged-but-lost commit, which surfaces as
-// a takeover state older than the interrupted step's pre-state.
-func RepSweep(cfg RepSweepConfig) (RepSweepResult, error) {
-	if cfg.Backend == 0 {
-		cfg.Backend = core.BackendHybrid
-	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 512
-	}
-	var res RepSweepResult
-	// The script is shared with the plain sweep, minus the knobs the
-	// replicated harness pins (no mutex, no housekeeping — see the
-	// package comment above).
-	base := SweepConfig{Backend: cfg.Backend, Seed: cfg.Seed, Steps: cfg.Steps, BlockSize: cfg.BlockSize}
-	script := buildScript(base)
+// replicatedTopology crashes the primary of a replicated scripted
+// history (no mutex, housekeeping or decay — see above). The counting
+// run promotes and verifies too: it is the zero-crash corner of the
+// matrix.
+func replicatedTopology(cfg SweepConfig) *topology {
+	script := buildScript(cfg)
 	o := buildOracle(script)
-
-	fail := func(down RepDownPattern, k, step int, err error) error {
-		return &RepSweepError{Backend: cfg.Backend, Seed: cfg.Seed, Down: down, Crash: k, Step: step, Err: err}
-	}
-
-	// replay runs the replicated history with a crash armed at primary
-	// write k, returning the cluster and the interrupted step.
-	replay := func(k int, down RepDownPattern, chk *obs.Checker) (*repCluster, int, error) {
-		vol := stablelog.NewMemVolume(cfg.BlockSize)
-		vol.ArmGlobalCrashAtWrite(k)
-		cl, install, err := newRepCluster(cfg, down, chk)
-		if err != nil {
-			return nil, -1, err
-		}
-		s, _, err := executeScript(vol, base, script, chk, install)
-		return cl, s, err
-	}
-
-	// Counting run: the full replicated history with no crash, promoted
-	// and verified like every crash point — the zero-crash corner of the
-	// matrix — to tally the primary's W device writes.
-	chk := obs.NewChecker(nil)
-	countVol := stablelog.NewMemVolume(cfg.BlockSize)
-	countVol.ArmGlobalCrashAtWrite(0)
-	cl, install, err := newRepCluster(cfg, RepDownNone, chk)
-	if err != nil {
-		return res, fail(RepDownNone, 0, -1, err)
-	}
-	s, _, err := executeScript(countVol, base, script, chk, install)
-	if err != nil {
-		return res, fail(RepDownNone, 0, s, err)
-	}
-	if s != len(script) {
-		return res, fail(RepDownNone, 0, s, fmt.Errorf("unarmed history did not complete (stopped at step %d)", s))
-	}
-	g, err := cl.promoteBest()
-	if err != nil {
-		return res, fail(RepDownNone, 0, s, err)
-	}
-	if err := verifyRecovered(g, base, script, o, s, false); err != nil {
-		return res, fail(RepDownNone, 0, s, err)
-	}
-	if err := chk.Err(); err != nil {
-		return res, fail(RepDownNone, 0, s, err)
-	}
-	res.Writes = countVol.GlobalWrites()
-	res.Points++
-	res.Promotions++
-
-	for _, down := range repDownPatterns {
-		for k := 1; k <= res.Writes; k++ {
-			chk := obs.NewChecker(nil)
-			cl, s, err := replay(k, down, chk)
+	return &topology{
+		patterns:      []DownPattern{DownNone, DownFirst, DownSecond},
+		countRecovery: true,
+		countPoint:    true,
+		replay: func(k int, down DownPattern, chk *obs.Checker) (*scenario, error) {
+			vol := armedVolume(cfg.BlockSize, k)
+			sc := &scenario{vol: vol, step: -1}
+			cl, install, err := newRepCluster(cfg, down, chk)
 			if err != nil {
-				return res, fail(down, k, s, err)
+				return sc, err
 			}
-			if s == len(script) {
-				// The crash never fired: this pattern's history performs
-				// fewer primary writes than the all-up counting run (a
-				// down backup saves no primary writes, so this would mean
-				// the replays diverged — still verify the final state).
-				g, err := cl.promoteBest()
-				if err != nil {
-					return res, fail(down, k, s, err)
-				}
-				if err := verifyRecovered(g, base, script, o, s, false); err != nil {
-					return res, fail(down, k, s, err)
-				}
-				res.Points++
-				res.Promotions++
-				continue
+			sc.step, _, err = executeScript(vol, cfg, script, chk, install)
+			sc.done = sc.step == len(script)
+			var g *guardian.Guardian
+			sc.recover = func(int, bool) (bool, error) {
+				var err error
+				g, err = cl.promoteBest()
+				return false, err
 			}
-			g, err := cl.promoteBest()
-			if err != nil {
-				return res, fail(down, k, s, err)
-			}
-			res.Promotions++
-			if err := verifyRecovered(g, base, script, o, s, false); err != nil {
-				return res, fail(down, k, s, err)
-			}
-			if err := chk.Err(); err != nil {
-				return res, fail(down, k, s, err)
-			}
-			res.Points++
-		}
+			sc.verify = func() error { return verifyRecovered(g, cfg, script, o, sc.step, false) }
+			return sc, err
+		},
 	}
-	return res, nil
 }

@@ -1,7 +1,6 @@
 package crashtest
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -15,16 +14,16 @@ func TestRepSweep(t *testing.T) {
 	for _, b := range []core.Backend{core.BackendSimple, core.BackendHybrid} {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			res, err := RepSweep(RepSweepConfig{Backend: b, Seed: 1, Steps: 3})
+			res, err := Sweep(SweepConfig{Topology: Replicated, Backend: b, Seed: 1, Steps: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Every (crash write × pattern) plus the zero-crash corner.
-			want := len(repDownPatterns)*res.Writes + 1
+			want := 3*res.Writes + 1
 			if res.Writes == 0 || res.Points != want {
 				t.Fatalf("degenerate replicated sweep: %+v, want %d points", res, want)
 			}
-			if res.Promotions != res.Points {
+			if res.Recoveries != res.Points || res.Deepest != 1 {
 				t.Fatalf("unverified takeovers: %+v", res)
 			}
 		})
@@ -37,26 +36,16 @@ func TestRepSweepMultipleSeeds(t *testing.T) {
 		t.Skip("multi-seed replicated sweep skipped in -short mode")
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		if _, err := RepSweep(RepSweepConfig{Backend: core.BackendHybrid, Seed: seed, Steps: 4}); err != nil {
+		if _, err := Sweep(SweepConfig{Topology: Replicated, Backend: core.BackendHybrid, Seed: seed, Steps: 4}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-// TestRepSweepErrorIdentifiesScenario: a RepSweepError must carry the
-// replay coordinates (backend, seed, pattern, crash write).
+// TestRepSweepErrorIdentifiesScenario: a replicated SweepError must carry
+// the replay coordinates (backend, seed, pattern, crash write, step).
 func TestRepSweepErrorIdentifiesScenario(t *testing.T) {
-	e := &RepSweepError{
-		Backend: core.BackendHybrid, Seed: 7, Down: RepDownSecond,
-		Crash: 23, Step: 1, Err: errors.New("boom"),
-	}
-	got := e.Error()
-	for _, want := range []string{"hybrid", "seed=7", "second-down", "crash=23", "step=1", "boom"} {
-		if !contains(got, want) {
-			t.Fatalf("RepSweepError %q missing %q", got, want)
-		}
-	}
-	if !errors.Is(e, e.Err) {
-		t.Fatal("RepSweepError does not unwrap")
-	}
+	checkSweepError(t, SweepError{Topology: Replicated, Backend: core.BackendSimple, Seed: 7, Down: DownSecond,
+		Crashes: []int{23}, Step: 1, Err: errBoom},
+		"replicated", "simple", "seed=7", "decay=none", "down=second-down", "crashes=[23]", "step=1", "boom")
 }

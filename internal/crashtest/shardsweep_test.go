@@ -1,7 +1,6 @@
 package crashtest
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -12,10 +11,10 @@ import (
 // it, settles the two-shard cluster, and verifies the serial oracle:
 // conservation across shards and zero acked-but-lost.
 func TestShardSweep(t *testing.T) {
-	for _, b := range []core.Backend{core.BackendSimple, core.BackendHybrid} {
+	for _, b := range []core.Backend{core.BackendSimple, core.BackendHybrid, core.BackendShadow} {
 		b := b
 		t.Run(b.String(), func(t *testing.T) {
-			res, err := ShardSweep(ShardSweepConfig{Backend: b, Steps: 4})
+			res, err := Sweep(SweepConfig{Topology: Sharded, Backend: b, Steps: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -23,26 +22,16 @@ func TestShardSweep(t *testing.T) {
 			if res.Writes == 0 || res.Points != res.Writes+1 {
 				t.Fatalf("degenerate cross-shard sweep: %+v", res)
 			}
-			if res.Recoveries == 0 {
-				t.Fatalf("sweep never exercised recovery: %+v", res)
+			if res.Recoveries != res.Writes || res.Deepest != 1 {
+				t.Fatalf("sweep did not recover every crash point: %+v", res)
 			}
 		})
 	}
 }
 
-// TestShardSweepErrorIdentifiesScenario: a ShardSweepError must carry
+// TestShardSweepErrorIdentifiesScenario: a sharded SweepError must carry
 // the replay coordinates (backend, crash write, interrupted step).
 func TestShardSweepErrorIdentifiesScenario(t *testing.T) {
-	e := &ShardSweepError{
-		Backend: core.BackendHybrid, Crash: 17, Step: 2, Err: errors.New("boom"),
-	}
-	got := e.Error()
-	for _, want := range []string{"hybrid", "crash=17", "step=2", "boom"} {
-		if !contains(got, want) {
-			t.Fatalf("ShardSweepError %q missing %q", got, want)
-		}
-	}
-	if !errors.Is(e, e.Err) {
-		t.Fatal("ShardSweepError does not unwrap")
-	}
+	checkSweepError(t, SweepError{Topology: Sharded, Backend: core.BackendShadow, Crashes: []int{34}, Step: 0, Err: errBoom},
+		"sharded", "shadow", "seed=0", "down=none", "crashes=[34]", "step=0", "boom")
 }

@@ -16,14 +16,18 @@ import (
 // The sweep mode is the exhaustive counterpart of Run: instead of
 // crashing at random writes of a random history, it fixes one scripted
 // history, counts every device block write W it performs, and replays
-// it W times, crashing at write k for each k in 1..W. Each crash point
-// is then deepened: the recovery that follows is itself crashed at
-// every one of its writes (double crash), and each of those recoveries
-// is crashed once more at its first write (triple crash), before a
-// final undisturbed recovery runs. After every terminal recovery the
-// chapter 6 invariant is checked: the recovered state equals the serial
-// run of the actions that committed — the pre- or post-state of the
-// interrupted action, never a mixture — and structural invariants hold
+// it W times, crashing at write k for each k in 1..W. One enumerator
+// drives every deployment shape (Topology); a topology supplies only
+// how to replay its history, recover, and check the result.
+//
+// In the Single topology each crash point is then deepened: the
+// recovery that follows is itself crashed at every one of its writes
+// (double crash), and each of those recoveries is crashed once more at
+// its first write (triple crash), before a final undisturbed recovery
+// runs. After every terminal recovery the chapter 6 invariant is
+// checked: the recovered state equals the serial run of the actions
+// that committed — the pre- or post-state of the interrupted action,
+// never a mixture — and structural invariants hold
 // (guardian.CheckRecovered).
 
 // DecayMode selects which device copies decay between every crash and
@@ -61,17 +65,52 @@ func (m DecayMode) String() string {
 	}
 }
 
+// Topology selects the deployment a sweep crashes.
+type Topology uint8
+
+const (
+	// Single crashes one guardian running the scripted history and
+	// deepens every crash point with the double/triple-crash probe.
+	Single Topology = iota
+	// Replicated crashes a primary that ships its log to two backups
+	// and verifies the promoted backup (see replicatedTopology).
+	Replicated
+	// Sharded crashes the coordinator shard of a two-shard transfer
+	// history and verifies the settled cluster (see shardedTopology).
+	Sharded
+)
+
+func (t Topology) String() string {
+	switch t {
+	case Single:
+		return "single"
+	case Replicated:
+		return "replicated"
+	case Sharded:
+		return "sharded"
+	default:
+		return fmt.Sprintf("topology(%d)", uint8(t))
+	}
+}
+
 // SweepConfig parameterizes an exhaustive crash-point sweep.
 type SweepConfig struct {
+	Topology Topology
+	// Backend is the recovery system (default hybrid).
 	Backend core.Backend
-	Seed    int64
-	// Steps is the number of scripted actions after the setup action.
+	// Seed derives the scripted history (Sharded has none: its
+	// transfer history is fixed).
+	Seed int64
+	// Steps is the number of scripted actions after the setup action
+	// (Sharded: cross-shard transfers, 1..16).
 	Steps int
-	// Mutex adds a §2.4.2 mutex object to the script.
+	// Mutex adds a §2.4.2 mutex object to the script (Single only).
 	Mutex bool
-	// Housekeep interleaves housekeeping passes (hybrid backend only).
+	// Housekeep interleaves housekeeping passes (Single, hybrid
+	// backend only).
 	Housekeep bool
-	// Decay selects read-path fault injection before every recovery.
+	// Decay selects read-path fault injection before every recovery
+	// (Single only).
 	Decay DecayMode
 	// BlockSize is the simulated device block size (default 512).
 	BlockSize int
@@ -79,37 +118,42 @@ type SweepConfig struct {
 
 // SweepResult summarizes one sweep.
 type SweepResult struct {
-	// Writes is W, the device write count of the undisturbed history.
+	// Writes is W, the crashed guardian's device write count for the
+	// undisturbed history.
 	Writes int
-	// Points is the number of distinct crash scenarios exercised (one
-	// per terminal verification: single, double, and triple crashes).
+	// Points is the number of distinct crash scenarios verified.
 	Points int
-	// Recoveries counts recovery attempts, including interrupted ones.
+	// Recoveries counts recovery attempts, including interrupted ones;
+	// a replicated sweep's recoveries are its backup promotions.
 	Recoveries int
-	// Deepest is the largest number of stacked crashes any point hit.
+	// Deepest is the largest number of stacked crashes any point hit
+	// (1 unless recovery nests).
 	Deepest int
 }
 
 // SweepError identifies the exact failing scenario so it can be
-// replayed: the backend, the seed, and the crash schedule (history
-// write k, then recovery writes for the nested crashes).
+// replayed: the topology, backend, seed, decay mode, availability
+// pattern, and crash schedule.
 type SweepError struct {
-	Backend core.Backend
-	Seed    int64
-	Decay   DecayMode
+	Topology Topology
+	Backend  core.Backend
+	Seed     int64
+	Decay    DecayMode
+	Down     DownPattern
 	// Crashes is the crash schedule, outermost first: Crashes[0] is the
 	// history write the first crash hit, Crashes[1] the write of the
-	// first recovery the second crash hit, and so on.
+	// first recovery the second crash hit, and so on (empty for the
+	// counting run).
 	Crashes []int
 	// Step is the script step the first crash interrupted (-1 for the
-	// setup phase, len(script) if the history completed).
+	// setup phase, the step count if the history completed).
 	Step int
 	Err  error
 }
 
 func (e *SweepError) Error() string {
-	return fmt.Sprintf("sweep %v seed=%d decay=%v crashes=%v step=%d: %v",
-		e.Backend, e.Seed, e.Decay, e.Crashes, e.Step, e.Err)
+	return fmt.Sprintf("sweep %v %v seed=%d decay=%v down=%v crashes=%v step=%d: %v",
+		e.Topology, e.Backend, e.Seed, e.Decay, e.Down, e.Crashes, e.Step, e.Err)
 }
 
 func (e *SweepError) Unwrap() error { return e.Err }
@@ -390,11 +434,7 @@ func recoverOnce(vol *stablelog.MemVolume, cfg SweepConfig, armAt int, withDecay
 	if armAt > 0 {
 		vol.ArmGlobalCrashAtWrite(armAt)
 	}
-	g, err = guardian.Open(1, vol, cfg.Backend, guardian.WithTracer(tr))
-	if err == nil {
-		g.SetSynchronousForces(true)
-		err = guardian.CheckRecovered(g)
-	}
+	g, err = recovered(guardian.Open(1, vol, cfg.Backend, guardian.WithTracer(tr)))
 	if err == nil {
 		err = resolveInDoubt(g)
 	}
@@ -562,158 +602,235 @@ func finalState(o *oracle, script []scriptStep) counterState {
 
 // --- the sweep ---------------------------------------------------------
 
+// topology is what a deployment shape supplies the crash-point
+// enumerator: data and closures, no control flow of its own.
+type topology struct {
+	// replay runs the history on fresh storage with a crash armed at
+	// device write k of the crashed guardian (0 = unarmed), under
+	// availability pattern down. The scenario is non-nil even on error.
+	replay func(k int, down DownPattern, chk *obs.Checker) (*scenario, error)
+	// patterns are the availability patterns crossed with every write.
+	patterns []DownPattern
+	// nests reports whether recovery can itself be crashed, which
+	// enables the double/triple-crash probe.
+	nests bool
+	// countRecovery makes the counting run recover (promote) before it
+	// verifies, counting one recovery; countPoint counts its
+	// verification as a point.
+	countRecovery, countPoint bool
+}
+
+// scenario is one replayed history.
+type scenario struct {
+	vol  *stablelog.MemVolume // the crashed guardian's volume
+	step int                  // interrupted step (-1 for the setup phase)
+	done bool                 // the history ran to completion
+	// recover brings the deployment back after the crash, arming a
+	// crash at recovery write armAt (0 = unarmed); first marks the
+	// first recovery after the history crash. It reports whether the
+	// armed crash fired.
+	recover func(armAt int, first bool) (fired bool, err error)
+	// verify checks the current state — live after an undisturbed
+	// history, recovered after a crash — against the serial oracle.
+	verify func() error
+}
+
+// newTopology rejects the settings a topology does not support and
+// builds its descriptor.
+func newTopology(cfg SweepConfig) (*topology, error) {
+	switch cfg.Topology {
+	case Single:
+		return singleTopology(cfg), nil
+	case Replicated:
+		switch {
+		case cfg.Mutex || cfg.Housekeep || cfg.Decay != DecayNone:
+			return nil, fmt.Errorf("crashtest: replicated sweep takes no mutex, housekeeping or decay")
+		case cfg.Backend == core.BackendShadow:
+			return nil, fmt.Errorf("crashtest: backend %v has no log site to replicate", cfg.Backend)
+		}
+		return replicatedTopology(cfg), nil
+	case Sharded:
+		switch {
+		case cfg.Seed != 0 || cfg.Mutex || cfg.Housekeep || cfg.Decay != DecayNone:
+			return nil, fmt.Errorf("crashtest: sharded sweep takes no seed, mutex, housekeeping or decay")
+		case cfg.Steps < 1 || cfg.Steps > 16:
+			return nil, fmt.Errorf("crashtest: sharded sweep steps %d out of range (1..16)", cfg.Steps)
+		}
+		return shardedTopology(cfg), nil
+	}
+	return nil, fmt.Errorf("crashtest: unknown topology %v", cfg.Topology)
+}
+
+// singleTopology crashes one guardian running the scripted history.
+func singleTopology(cfg SweepConfig) *topology {
+	script := buildScript(cfg)
+	o := buildOracle(script)
+	return &topology{
+		patterns: []DownPattern{DownNone},
+		nests:    true,
+		replay: func(k int, _ DownPattern, chk *obs.Checker) (*scenario, error) {
+			vol := armedVolume(cfg.BlockSize, k)
+			step, g, err := executeScript(vol, cfg, script, chk, nil)
+			noSite := false
+			return &scenario{
+				vol: vol, step: step, done: step == len(script),
+				recover: func(armAt int, first bool) (fired bool, err error) {
+					g, fired, noSite, err = recoverOnce(vol, cfg, armAt, first, chk)
+					return fired, err
+				},
+				verify: func() error { return verifyRecovered(g, cfg, script, o, step, noSite) },
+			}, err
+		},
+	}
+}
+
+// armedVolume returns a fresh volume with a crash armed at write k
+// (0 = unarmed).
+func armedVolume(blockSize, k int) *stablelog.MemVolume {
+	vol := stablelog.NewMemVolume(blockSize)
+	vol.ArmGlobalCrashAtWrite(k)
+	return vol
+}
+
 // maxRecoveryProbe bounds the double-crash probe loop per crash point;
 // recoveries of these small scripted histories perform far fewer writes
 // than this, so hitting the cap means the probe failed to terminate and
 // is itself a bug.
 const maxRecoveryProbe = 400
 
+// sweep is one run of the crash-point enumerator.
+type sweep struct {
+	cfg  SweepConfig
+	topo *topology
+	res  SweepResult
+}
+
+func (s *sweep) fail(down DownPattern, crashes []int, step int, err error) error {
+	return &SweepError{
+		Topology: s.cfg.Topology, Backend: s.cfg.Backend, Seed: s.cfg.Seed,
+		Decay: s.cfg.Decay, Down: down, Crashes: crashes, Step: step, Err: err,
+	}
+}
+
+// count runs the undisturbed history to tally W, verifying it like
+// every crash point.
+func (s *sweep) count() error {
+	chk := obs.NewChecker(nil)
+	sc, err := s.topo.replay(0, DownNone, chk)
+	if err == nil && !sc.done {
+		err = fmt.Errorf("unarmed history did not complete (stopped at step %d)", sc.step)
+	}
+	if err == nil && s.topo.countRecovery {
+		_, err = sc.recover(0, true)
+		s.res.Recoveries++
+	}
+	if err == nil {
+		err = sc.verify()
+	}
+	if err == nil {
+		err = chk.Err()
+	}
+	if err != nil {
+		return s.fail(DownNone, nil, sc.step, err)
+	}
+	s.res.Writes = sc.vol.GlobalWrites()
+	if s.topo.countPoint {
+		s.res.Points++
+	}
+	return nil
+}
+
+// point replays the history crashed at write k under pattern down, then
+// recovers — arming the i-th recovery's crash at write arms[i] (0 =
+// unarmed) — until a recovery completes, and verifies the result under
+// the runtime checker that spanned the replay and every recovery. It
+// returns the number of stacked crashes and the interrupted step.
+func (s *sweep) point(k int, down DownPattern, arms ...int) (depth, step int, err error) {
+	crashes := []int{k}
+	chk := obs.NewChecker(nil)
+	sc, err := s.topo.replay(k, down, chk)
+	if err == nil && !sc.vol.GlobalCrashFired() {
+		err = fmt.Errorf("replay diverged: the crash armed at write %d never fired", k)
+	}
+	if err != nil {
+		return 0, sc.step, s.fail(down, crashes, sc.step, err)
+	}
+	depth = 1
+	for i, armAt := range arms {
+		if armAt > 0 {
+			crashes = append(crashes, armAt)
+		}
+		fired, err := sc.recover(armAt, i == 0)
+		s.res.Recoveries++
+		if err == nil && fired && armAt == 0 {
+			err = fmt.Errorf("unarmed recovery reported a crash")
+		}
+		if err != nil {
+			return depth, sc.step, s.fail(down, crashes, sc.step, err)
+		}
+		if !fired {
+			break
+		}
+		depth++
+	}
+	if err := sc.verify(); err != nil {
+		return depth, sc.step, s.fail(down, crashes, sc.step, err)
+	}
+	if err := chk.Err(); err != nil {
+		return depth, sc.step, s.fail(down, crashes, sc.step, err)
+	}
+	s.res.Points++
+	s.res.Deepest = max(s.res.Deepest, depth)
+	return depth, sc.step, nil
+}
+
 // Sweep runs the exhaustive crash-point sweep described in the package
 // comment for one configuration. It returns a *SweepError naming the
-// failing (backend, seed, crash schedule) triple on the first property
-// violation.
+// failing scenario's replay coordinates on the first property
+// violation, or a plain error for a configuration the topology does
+// not support.
 func Sweep(cfg SweepConfig) (SweepResult, error) {
+	if cfg.Backend == 0 {
+		cfg.Backend = core.BackendHybrid
+	}
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 512
 	}
-	var res SweepResult
-	script := buildScript(cfg)
-	o := buildOracle(script)
-
-	fail := func(crashes []int, step int, err error) error {
-		return &SweepError{
-			Backend: cfg.Backend, Seed: cfg.Seed, Decay: cfg.Decay,
-			Crashes: append([]int(nil), crashes...), Step: step, Err: err,
-		}
-	}
-
-	// Counting run: no crash, just tally W device writes. Like every
-	// scenario below, it runs under a runtime invariant checker fed by
-	// the event stream.
-	chk := obs.NewChecker(nil)
-	countVol := stablelog.NewMemVolume(cfg.BlockSize)
-	countVol.ArmGlobalCrashAtWrite(0)
-	s, g, err := executeScript(countVol, cfg, script, chk, nil)
+	topo, err := newTopology(cfg)
 	if err != nil {
-		return res, fail(nil, s, err)
+		return SweepResult{}, err
 	}
-	if s != len(script) || g == nil {
-		return res, fail(nil, s, fmt.Errorf("unarmed history did not complete (stopped at step %d)", s))
+	s := &sweep{cfg: cfg, topo: topo}
+	if err := s.count(); err != nil {
+		return s.res, err
 	}
-	if err := verifyRecovered(g, cfg, script, o, s, false); err != nil {
-		return res, fail(nil, s, err)
-	}
-	if err := chk.Err(); err != nil {
-		return res, fail(nil, s, err)
-	}
-	res.Writes = countVol.GlobalWrites()
-
-	// replay runs the history on a fresh volume with a crash armed at
-	// write k, returning the volume and the interrupted step. The
-	// checker spans the replay and every recovery of its crash point:
-	// each recovery's log-open event resets the force boundary, so the
-	// rules hold across the crashes.
-	replay := func(k int, chk *obs.Checker) (*stablelog.MemVolume, int, error) {
-		vol := stablelog.NewMemVolume(cfg.BlockSize)
-		vol.ArmGlobalCrashAtWrite(k)
-		s, _, err := executeScript(vol, cfg, script, chk, nil)
-		return vol, s, err
-	}
-
-	for k := 1; k <= res.Writes; k++ {
-		// Depth 1: crash at history write k, recover undisturbed.
-		chk := obs.NewChecker(nil)
-		vol, s, err := replay(k, chk)
-		if err != nil {
-			return res, fail([]int{k}, s, err)
-		}
-		if s == len(script) {
-			// The crash never fired (k beyond this replay's writes —
-			// possible only if replays diverge; still verify).
-			res.Points++
-			continue
-		}
-		g, fired, noSite, err := recoverOnce(vol, cfg, 0, true, chk)
-		res.Recoveries++
-		if err != nil {
-			return res, fail([]int{k}, s, err)
-		}
-		if fired {
-			return res, fail([]int{k}, s, fmt.Errorf("unarmed recovery reported a crash"))
-		}
-		if err := verifyRecovered(g, cfg, script, o, s, noSite); err != nil {
-			return res, fail([]int{k}, s, err)
-		}
-		if err := chk.Err(); err != nil {
-			return res, fail([]int{k}, s, err)
-		}
-		res.Points++
-		if res.Deepest < 1 {
-			res.Deepest = 1
-		}
-
-		// Depth 2 and 3: crash the recovery at each of its writes m;
-		// when that fires, crash the next recovery at its first write,
-		// then recover undisturbed and verify.
-		for m := 1; ; m++ {
-			if m > maxRecoveryProbe {
-				return res, fail([]int{k, m}, s, fmt.Errorf("recovery crash probe did not terminate"))
+	for _, down := range topo.patterns {
+		for k := 1; k <= s.res.Writes; k++ {
+			// Depth 1: crash at history write k, recover undisturbed.
+			if _, _, err := s.point(k, down, 0); err != nil {
+				return s.res, err
 			}
-			chk := obs.NewChecker(nil)
-			vol, s2, err := replay(k, chk)
-			if err != nil {
-				return res, fail([]int{k}, s2, err)
+			if !topo.nests {
+				continue
 			}
-			if s2 == len(script) {
-				break
-			}
-			g, fired, noSite, err := recoverOnce(vol, cfg, m, true, chk)
-			res.Recoveries++
-			if err != nil {
-				return res, fail([]int{k, m}, s2, err)
-			}
-			if !fired {
-				// Recovery finished before reaching write m: the probe
-				// has covered every recovery write. Verify and stop.
-				if err := verifyRecovered(g, cfg, script, o, s2, noSite); err != nil {
-					return res, fail([]int{k, m}, s2, err)
-				}
-				if err := chk.Err(); err != nil {
-					return res, fail([]int{k, m}, s2, err)
-				}
-				res.Points++
-				break
-			}
-			// Triple crash: interrupt the second recovery at its first
-			// write, then let a final recovery run to completion.
-			depth := 2
-			g, fired, noSite, err = recoverOnce(vol, cfg, 1, false, chk)
-			res.Recoveries++
-			if err != nil {
-				return res, fail([]int{k, m, 1}, s2, err)
-			}
-			if fired {
-				depth = 3
-				g, fired, noSite, err = recoverOnce(vol, cfg, 0, false, chk)
-				res.Recoveries++
+			// Depth 2 and 3: crash the recovery at each of its writes m;
+			// when that fires, crash the next recovery at its first
+			// write, then recover undisturbed. A recovery that finishes
+			// before reaching write m ends the probe: it has covered
+			// every recovery write.
+			for m := 1; ; m++ {
+				depth, step, err := s.point(k, down, m, 1, 0)
 				if err != nil {
-					return res, fail([]int{k, m, 1}, s2, err)
+					return s.res, err
 				}
-				if fired {
-					return res, fail([]int{k, m, 1}, s2, fmt.Errorf("unarmed recovery reported a crash"))
+				if depth == 1 {
+					break
 				}
-			}
-			if err := verifyRecovered(g, cfg, script, o, s2, noSite); err != nil {
-				return res, fail([]int{k, m, 1}, s2, err)
-			}
-			if err := chk.Err(); err != nil {
-				return res, fail([]int{k, m, 1}, s2, err)
-			}
-			res.Points++
-			if res.Deepest < depth {
-				res.Deepest = depth
+				if m == maxRecoveryProbe {
+					return s.res, s.fail(down, []int{k, m + 1}, step, fmt.Errorf("recovery crash probe did not terminate"))
+				}
 			}
 		}
 	}
-	return res, nil
+	return s.res, nil
 }

@@ -60,21 +60,54 @@ func TestSweepMultipleSeeds(t *testing.T) {
 }
 
 // TestSweepErrorIdentifiesScenario: a SweepError must carry the full
-// replay coordinates (backend, seed, crash schedule) for roscrash to
-// print.
+// replay coordinates — topology, backend, seed, decay mode, availability
+// pattern, crash schedule, and interrupted step — for roscrash to print,
+// and unwrap to the underlying failure. TestRepSweepErrorIdentifiesScenario
+// and TestShardSweepErrorIdentifiesScenario check the other topologies.
 func TestSweepErrorIdentifiesScenario(t *testing.T) {
-	e := &SweepError{
-		Backend: core.BackendHybrid, Seed: 42, Decay: DecayAlternate,
-		Crashes: []int{17, 3, 1}, Step: 2, Err: errors.New("boom"),
-	}
+	checkSweepError(t, SweepError{Topology: Single, Backend: core.BackendHybrid, Seed: 42, Decay: DecayAlternate,
+		Crashes: []int{17, 3, 1}, Step: 2, Err: errBoom},
+		"single", "hybrid", "seed=42", "decay=alternate", "down=none", "crashes=[17 3 1]", "step=2", "boom")
+}
+
+var errBoom = errors.New("boom")
+
+// checkSweepError fails t unless e's text holds every want and e
+// unwraps to errBoom.
+func checkSweepError(t *testing.T, e SweepError, want ...string) {
+	t.Helper()
 	got := e.Error()
-	for _, want := range []string{"hybrid", "seed=42", "crashes=[17 3 1]", "alternate", "step=2", "boom"} {
-		if !contains(got, want) {
-			t.Fatalf("SweepError %q missing %q", got, want)
+	for _, w := range want {
+		if !contains(got, w) {
+			t.Errorf("SweepError %q missing %q", got, w)
 		}
 	}
-	if !errors.Is(e, e.Err) {
-		t.Fatal("SweepError does not unwrap")
+	if !errors.Is(&e, errBoom) {
+		t.Errorf("%v SweepError does not unwrap", e.Topology)
+	}
+}
+
+// TestSweepRejectsConfig: a topology refuses up front the settings it
+// cannot sweep, with a plain error rather than a scenario failure.
+func TestSweepRejectsConfig(t *testing.T) {
+	for _, cfg := range []SweepConfig{
+		{Topology: Replicated, Seed: 1, Steps: 2, Mutex: true},
+		{Topology: Replicated, Seed: 1, Steps: 2, Housekeep: true},
+		{Topology: Replicated, Seed: 1, Steps: 2, Decay: DecayDeviceA},
+		{Topology: Replicated, Backend: core.BackendShadow, Seed: 1, Steps: 2},
+		{Topology: Sharded, Seed: 1, Steps: 2},
+		{Topology: Sharded, Steps: 2, Mutex: true},
+		{Topology: Sharded, Steps: 2, Housekeep: true},
+		{Topology: Sharded, Steps: 2, Decay: DecayDeviceB},
+		{Topology: Sharded, Steps: 0},
+		{Topology: Sharded, Steps: 17},
+		{Topology: Sharded + 1, Steps: 2},
+	} {
+		res, err := Sweep(cfg)
+		var se *SweepError
+		if err == nil || errors.As(err, &se) || res != (SweepResult{}) {
+			t.Errorf("%+v: got %+v, %v; want a plain config error and no work", cfg, res, err)
+		}
 	}
 }
 

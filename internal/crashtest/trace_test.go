@@ -85,20 +85,26 @@ func TestReplayTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministic runs a small full sweep twice and requires the
-// aggregate results — write count, scenario count, recovery count — to
-// be identical, the sweep-level expression of the same contract.
+// TestSweepDeterministic runs a small full sweep of every topology
+// twice and requires the aggregate results — write count, scenario
+// count, recovery count, depth — to be identical, the sweep-level
+// expression of the same contract.
 func TestSweepDeterministic(t *testing.T) {
-	cfg := SweepConfig{Backend: core.BackendHybrid, Seed: 11, Steps: 3, Housekeep: true}
-	a, err := Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Sweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Errorf("two sweeps diverged: %+v vs %+v", a, b)
+	for _, cfg := range []SweepConfig{
+		{Topology: Single, Backend: core.BackendHybrid, Seed: 11, Steps: 3, Housekeep: true},
+		{Topology: Replicated, Backend: core.BackendHybrid, Seed: 11, Steps: 3},
+		{Topology: Sharded, Backend: core.BackendSimple, Steps: 3},
+	} {
+		a, err := Sweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Sweep(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("%v: two sweeps diverged: %+v vs %+v", cfg.Topology, a, b)
+		}
 	}
 }

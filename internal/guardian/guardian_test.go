@@ -480,6 +480,67 @@ func TestTwoPCCrashMatrix(t *testing.T) {
 	})
 }
 
+// TestPreparedBranchSurvivesUnrelatedCommit: a participant prepares a
+// branch of a remote action, then commits an unrelated local action and
+// crashes. The branch must come back in doubt — still holding its
+// update for the coordinator's verdict — and stay in doubt across a
+// second unrelated commit and crash, until the verdict arrives.
+func TestPreparedBranchSurvivesUnrelatedCommit(t *testing.T) {
+	forBackends(t, func(t *testing.T, b core.Backend) {
+		g := mustGuardian(t, 2, b)
+		c := initCounter(t, g, 10)
+		remote := ids.ActionID{Coordinator: 1, Seq: 7}
+		branch := g.Join(remote)
+		if err := branch.Update(c, func(v value.Value) value.Value {
+			return value.Int(int64(v.(value.Int)) + 5)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := g.HandlePrepare(remote); err != nil || v != twopc.VotePrepared {
+			t.Fatalf("prepare: %v %v", v, err)
+		}
+		unrelated := func(g *Guardian, name string) {
+			t.Helper()
+			a := g.Begin()
+			x, err := a.NewAtomic(value.Int(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.SetVar(name, x); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		crashRestart := func(g *Guardian) *Guardian {
+			t.Helper()
+			g.Crash()
+			ng, err := Restart(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ng.InDoubt(); len(got) != 1 || got[0] != remote {
+				t.Fatalf("in doubt after restart = %v, want [%v]", got, remote)
+			}
+			if got := counterValue(t, ng); got != 10 {
+				t.Fatalf("counter = %d before the verdict, want 10", got)
+			}
+			return ng
+		}
+		unrelated(g, "first")
+		g = crashRestart(g)
+		unrelated(g, "second")
+		g = crashRestart(g)
+		if err := g.HandleCommit(remote); err != nil {
+			t.Fatal(err)
+		}
+		if got := counterValue(t, g); got != 15 {
+			t.Fatalf("counter = %d after the commit verdict, want 15", got)
+		}
+	})
+}
+
 func TestEarlyPrepareThroughGuardian(t *testing.T) {
 	g := mustGuardian(t, 1, core.BackendHybrid)
 	c := initCounter(t, g, 0)

@@ -425,6 +425,20 @@ func TestEventLifecycle(t *testing.T) {
 
 	c := dialRaw(t, addr)
 	c.mustOK(t, wire.Request{Op: wire.OpPing})
+	// The worker emits rpc.reply after writing the frame, so the client
+	// can hold the reply first; a drain begun before the event lands
+	// legally precedes it. Wait for the exchange to finish server-side.
+	replied := func() bool {
+		for _, e := range rec.Events() {
+			if e.Kind == obs.KindRPCReply {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !replied() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

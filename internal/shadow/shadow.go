@@ -65,6 +65,13 @@ type install struct {
 	kind object.Kind
 }
 
+// intention is a prepared action's shadowed versions and the address
+// of its prepared record.
+type intention struct {
+	at       stablelog.LSN
+	installs []install
+}
+
 // Store is one guardian's shadow-organized stable storage.
 type Store struct {
 	mu   sync.Mutex
@@ -75,7 +82,11 @@ type Store struct {
 	pat  *object.PAT
 
 	table   map[ids.UID]mapEntry // the installed map (volatile copy)
-	pending map[ids.ActionID][]install
+	pending map[ids.ActionID]intention
+	// committing holds the addresses of committing records that name
+	// another guardian and still await their done record: a recovered
+	// coordinator must still answer that guardian's outcome query.
+	committing map[ids.ActionID]stablelog.LSN
 
 	// MapWrites counts full map writes (the cost that makes shadowing
 	// slow, §1.2.1: "rewriting the map at every action commit ... could
@@ -89,13 +100,14 @@ type Store struct {
 // store.
 func New(vs *stablelog.Log, root *stable.Store, heap *object.Heap) *Store {
 	return &Store{
-		vs:      vs,
-		root:    root,
-		heap:    heap,
-		as:      object.NewAccessSet(),
-		pat:     object.NewPAT(),
-		table:   make(map[ids.UID]mapEntry),
-		pending: make(map[ids.ActionID][]install),
+		vs:         vs,
+		root:       root,
+		heap:       heap,
+		as:         object.NewAccessSet(),
+		pat:        object.NewPAT(),
+		table:      make(map[ids.UID]mapEntry),
+		pending:    make(map[ids.ActionID]intention),
+		committing: make(map[ids.ActionID]stablelog.LSN),
 	}
 }
 
@@ -195,7 +207,7 @@ func (s *Store) Prepare(aid ids.ActionID, mos object.MOS) error {
 	if err != nil {
 		return err
 	}
-	s.pending[aid] = installs
+	s.pending[aid] = intention{at: lsn, installs: installs}
 	s.pat.Add(aid)
 	s.emitOutcome(obs.OutcomePrepared, aid, lsn)
 	return nil
@@ -209,7 +221,7 @@ func (s *Store) Prepare(aid ids.ActionID, mos object.MOS) error {
 func (s *Store) Commit(aid ids.ActionID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, in := range s.pending[aid] {
+	for _, in := range s.pending[aid].installs {
 		s.table[in.uid] = mapEntry{Addr: in.addr, Kind: in.kind}
 	}
 	delete(s.pending, aid)
@@ -229,7 +241,7 @@ func (s *Store) Abort(aid ids.ActionID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var mutexInstalled bool
-	for _, in := range s.pending[aid] {
+	for _, in := range s.pending[aid].installs {
 		if in.kind == object.KindMutex {
 			s.table[in.uid] = mapEntry{Addr: in.addr, Kind: in.kind}
 			mutexInstalled = true
@@ -259,6 +271,9 @@ func (s *Store) Committing(aid ids.ActionID, gids []ids.GuardianID) error {
 	if err != nil {
 		return err
 	}
+	if namesOther(aid, gids) {
+		s.committing[aid] = lsn
+	}
 	s.emitOutcome(obs.OutcomeCommitting, aid, lsn)
 	return nil
 }
@@ -271,15 +286,43 @@ func (s *Store) Done(aid ids.ActionID) error {
 	if err != nil {
 		return err
 	}
+	delete(s.committing, aid)
 	s.emitOutcome(obs.OutcomeDone, aid, lsn)
 	return nil
 }
 
-// writeMapLocked serializes the whole map, appends it to the version
-// area, forces it, and atomically installs it via the root page. It
-// returns the map record's address.
+// namesOther reports whether a committing record for aid names a
+// guardian other than its coordinator — one that may query the outcome.
+func namesOther(aid ids.ActionID, gids []ids.GuardianID) bool {
+	for _, g := range gids {
+		if g != aid.Coordinator {
+			return true
+		}
+	}
+	return false
+}
+
+// unresolvedLocked lists, newest first, the records written before the
+// next map whose outcome is still open: prepared records awaiting a
+// verdict and committing records awaiting done. Recovery reads only
+// the suffix after the installed map, so the map must carry them.
+func (s *Store) unresolvedLocked() []stablelog.LSN {
+	var out []stablelog.LSN
+	for _, in := range s.pending {
+		out = append(out, in.at)
+	}
+	for _, lsn := range s.committing {
+		out = append(out, lsn)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
+	return out
+}
+
+// writeMapLocked serializes the whole map and the unresolved-record
+// list, appends them to the version area, forces them, and atomically
+// installs them via the root page. It returns the map record's address.
 func (s *Store) writeMapLocked() (stablelog.LSN, error) {
-	lsn, err := s.vs.ForceWrite(encodeMap(s.table))
+	lsn, err := s.vs.ForceWrite(encodeMap(s.table, s.unresolvedLocked()))
 	if err != nil {
 		return stablelog.NoLSN, err
 	}
@@ -327,8 +370,9 @@ type Tables struct {
 }
 
 // Recover reconstructs the stable state: read the root page, the map it
-// points at, every version the map references, and the intentions
-// suffix after the map.
+// points at, every version the map references, the intentions suffix
+// after the map, and the unresolved records the map lists from before
+// it.
 func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 	t := &Tables{
 		Prepared:   make(map[ids.ActionID]bool),
@@ -342,6 +386,7 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 		return nil, nil, err
 	}
 	table := make(map[ids.UID]mapEntry)
+	var unresolved []stablelog.LSN
 	mapLSN := stablelog.NoLSN
 	if len(rootPage) >= 8 {
 		mapLSN = stablelog.LSN(binary.LittleEndian.Uint64(rootPage[:8]))
@@ -350,7 +395,7 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 			return nil, nil, fmt.Errorf("shadow: installed map unreadable: %w", err)
 		}
 		t.EntriesRead++
-		table, err = decodeMap(payload)
+		table, unresolved, err = decodeMap(payload)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -358,26 +403,25 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 
 	// Scan the suffix after the map for intentions: prepared records
 	// whose verdict never arrived, plus coordinator records. (Read
-	// backward until we hit the map entry.)
-	type prep struct {
-		aid      ids.ActionID
-		installs []install
+	// backward until we hit the map entry, then visit the older records
+	// the map lists as unresolved, newest first.)
+	type intent struct {
+		aid ids.ActionID
+		intention
 	}
-	var suffix []prep
+	var suffix []intent
 	aborted := make(map[ids.ActionID]bool)
-	err = vs.ReadBackward(vs.Top(), func(lsn stablelog.LSN, payload []byte) bool {
-		if lsn == mapLSN {
-			return false
-		}
+	committing := make(map[ids.ActionID]stablelog.LSN)
+	visit := func(lsn stablelog.LSN, payload []byte) {
 		if len(payload) == 0 {
-			return true
+			return
 		}
 		t.EntriesRead++
 		switch payload[0] {
 		case recPrepared:
 			aid, installs, err := decodePrepared(payload)
 			if err == nil && !aborted[aid] {
-				suffix = append(suffix, prep{aid: aid, installs: installs})
+				suffix = append(suffix, intent{aid: aid, intention: intention{at: lsn, installs: installs}})
 			}
 		case recAborted:
 			aid, _, err := decodeOutcome(payload)
@@ -390,6 +434,9 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 				if _, known := t.Done[aid]; !known {
 					if _, dup := t.Committing[aid]; !dup {
 						t.Committing[aid] = gids
+						if namesOther(aid, gids) {
+							committing[aid] = lsn
+						}
 					}
 				}
 			}
@@ -405,10 +452,23 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 			// transaction will be replayed from the prepared records,
 			// or re-committed by the resumed guardian; skip it.
 		}
+	}
+	err = vs.ReadBackward(vs.Top(), func(lsn stablelog.LSN, payload []byte) bool {
+		if lsn == mapLSN {
+			return false
+		}
+		visit(lsn, payload)
 		return true
 	})
 	if err != nil {
 		return nil, nil, err
+	}
+	for _, lsn := range unresolved {
+		payload, err := vs.Read(lsn)
+		if err != nil {
+			return nil, nil, fmt.Errorf("shadow: unresolved record at %v: %w", lsn, err)
+		}
+		visit(lsn, payload)
 	}
 
 	// Materialize installed objects.
@@ -518,8 +578,9 @@ func Recover(vs *stablelog.Log, root *stable.Store) (*Tables, *Store, error) {
 		s.pat.Add(aid)
 	}
 	for i := len(suffix) - 1; i >= 0; i-- {
-		s.pending[suffix[i].aid] = suffix[i].installs
+		s.pending[suffix[i].aid] = suffix[i].intention
 	}
+	s.committing = committing
 	return t, s, nil
 }
 
@@ -664,7 +725,10 @@ func decodeOutcome(p []byte) (ids.ActionID, []ids.GuardianID, error) {
 	return aid, gids, nil
 }
 
-func encodeMap(table map[ids.UID]mapEntry) []byte {
+// encodeMap serializes the map, followed — only when it is non-empty —
+// by the unresolved-record list, so a map with nothing pending keeps
+// the same bytes.
+func encodeMap(table map[ids.UID]mapEntry, unresolved []stablelog.LSN) []byte {
 	uids := make([]ids.UID, 0, len(table))
 	for u := range table {
 		uids = append(uids, u)
@@ -678,36 +742,60 @@ func encodeMap(table map[ids.UID]mapEntry) []byte {
 		out = binary.AppendUvarint(out, uint64(me.Addr))
 		out = append(out, byte(me.Kind))
 	}
+	if len(unresolved) > 0 {
+		out = binary.AppendUvarint(out, uint64(len(unresolved)))
+		for _, lsn := range unresolved {
+			out = binary.AppendUvarint(out, uint64(lsn))
+		}
+	}
 	return out
 }
 
-func decodeMap(p []byte) (map[ids.UID]mapEntry, error) {
+func decodeMap(p []byte) (map[ids.UID]mapEntry, []stablelog.LSN, error) {
+	bad := fmt.Errorf("shadow: bad map record")
 	if len(p) < 1 || p[0] != recMap {
-		return nil, fmt.Errorf("shadow: bad map record")
+		return nil, nil, bad
 	}
 	buf := p[1:]
 	cnt, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, fmt.Errorf("shadow: bad map record")
+		return nil, nil, bad
 	}
 	buf = buf[n:]
 	table := make(map[ids.UID]mapEntry, cnt)
 	for i := uint64(0); i < cnt; i++ {
 		u, n := binary.Uvarint(buf)
 		if n <= 0 {
-			return nil, fmt.Errorf("shadow: bad map record")
+			return nil, nil, bad
 		}
 		buf = buf[n:]
 		a, n := binary.Uvarint(buf)
 		if n <= 0 {
-			return nil, fmt.Errorf("shadow: bad map record")
+			return nil, nil, bad
 		}
 		buf = buf[n:]
 		if len(buf) < 1 {
-			return nil, fmt.Errorf("shadow: bad map record")
+			return nil, nil, bad
 		}
 		table[ids.UID(u)] = mapEntry{Addr: stablelog.LSN(a), Kind: object.Kind(buf[0])}
 		buf = buf[1:]
 	}
-	return table, nil
+	if len(buf) == 0 {
+		return table, nil, nil
+	}
+	cnt, n = binary.Uvarint(buf)
+	if n <= 0 {
+		return nil, nil, bad
+	}
+	buf = buf[n:]
+	var unresolved []stablelog.LSN
+	for i := uint64(0); i < cnt; i++ {
+		a, n := binary.Uvarint(buf)
+		if n <= 0 {
+			return nil, nil, bad
+		}
+		buf = buf[n:]
+		unresolved = append(unresolved, stablelog.LSN(a))
+	}
+	return table, unresolved, nil
 }

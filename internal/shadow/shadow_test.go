@@ -351,9 +351,21 @@ func TestCodecRoundTrips(t *testing.T) {
 		t.Fatalf("prepared round trip: %v %v %v", gotAid, gotIns, err)
 	}
 	table := map[ids.UID]mapEntry{4: {Addr: 7, Kind: object.KindMutex}}
-	gotTable, err := decodeMap(encodeMap(table))
-	if err != nil || gotTable[4] != table[4] {
-		t.Fatalf("map round trip: %v %v", gotTable, err)
+	bare := encodeMap(table, nil)
+	gotTable, gotOpen, err := decodeMap(bare)
+	if err != nil || gotTable[4] != table[4] || gotOpen != nil {
+		t.Fatalf("map round trip: %v %v %v", gotTable, gotOpen, err)
+	}
+	// The unresolved-record list rides after the entries; a map with
+	// nothing pending keeps the bare encoding byte for byte.
+	open := []stablelog.LSN{90, 40}
+	listed := encodeMap(table, open)
+	if string(listed[:len(bare)]) != string(bare) || len(listed) == len(bare) {
+		t.Fatalf("listed map %x does not extend bare map %x", listed, bare)
+	}
+	gotTable, gotOpen, err = decodeMap(listed)
+	if err != nil || gotTable[4] != table[4] || len(gotOpen) != 2 || gotOpen[0] != 90 || gotOpen[1] != 40 {
+		t.Fatalf("listed map round trip: %v %v %v", gotTable, gotOpen, err)
 	}
 	a2, g2, err := decodeOutcome(encodeOutcome(recCommitting, aid, []ids.GuardianID{8}))
 	if err != nil || a2 != aid || len(g2) != 1 || g2[0] != 8 {
