@@ -41,20 +41,20 @@ bench:
 	$(GO) test -bench . -benchmem -benchtime 50x .
 	$(GO) test -bench . -benchtime 100x ./internal/stablelog/ ./internal/value/
 
-# Regenerate the committed outputs (test_output.txt, bench_output.txt,
-# BENCH_commit.json — the machine-readable E11 group-commit rows —
-# BENCH_server.json — the E12 served-throughput curve —
-# BENCH_rep.json — the E13 replication cost and failover rows —
-# BENCH_shard.json — the E14 shard-scaling and cross-shard 2PC rows —
-# and BENCH_read.json — the E16 index-vs-action-path read rows).
+# Regenerate the committed outputs: test_output.txt, bench_output.txt,
+# and one BENCH_*.json file of rosbench rows per measured experiment —
+# BENCH_commit.json (E11 group commit), BENCH_server.json (E12 served
+# throughput), BENCH_rep.json (E13 replication cost and failover),
+# BENCH_shard.json (E14 shard scaling and cross-shard 2PC) and
+# BENCH_read.json (E16 index vs action-path reads).
 bench-save:
 	$(GO) test ./... 2>&1 | tee test_output.txt
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
-	$(GO) run ./cmd/rosbench -experiment e11 -trace -commitjson BENCH_commit.json
-	$(GO) run ./cmd/rosbench -experiment e12 -serverjson BENCH_server.json
-	$(GO) run ./cmd/rosbench -experiment e13 -repjson BENCH_rep.json
-	$(GO) run ./cmd/rosbench -experiment e14 -trace -shardjson BENCH_shard.json
-	$(GO) run ./cmd/rosbench -experiment e16 -readjson BENCH_read.json
+	$(GO) run ./cmd/rosbench -experiment e11 -json BENCH_commit.json
+	$(GO) run ./cmd/rosbench -experiment e12 -json BENCH_server.json
+	$(GO) run ./cmd/rosbench -experiment e13 -json BENCH_rep.json
+	$(GO) run ./cmd/rosbench -experiment e14 -json BENCH_shard.json
+	$(GO) run ./cmd/rosbench -experiment e16 -json BENCH_read.json
 
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzUnflatten -fuzztime 30s ./internal/value/

@@ -66,12 +66,7 @@
 // fsynced after the drain, so a chaos harness can merge per-node
 // traces and run the invariant checker over the whole cluster.
 //
-// The handlers:
-//
-//	get  (Str key)           -> stored value, or error
-//	put  (List[Str key, V])  -> V
-//	incr (List[Str key, Int delta]) -> Int new total (missing key
-//	     starts at 0)
+// The handlers are server.RegisterKV's get, put and incr.
 package main
 
 import (
@@ -90,14 +85,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/guardian"
 	"repro/internal/ids"
-	"repro/internal/object"
 	"repro/internal/obs"
 	"repro/internal/replog"
 	"repro/internal/server"
 	"repro/internal/shard"
 	"repro/internal/stablelog"
 	"repro/internal/twopc"
-	"repro/internal/value"
 	"repro/internal/wire"
 )
 
@@ -218,7 +211,7 @@ func run() error {
 		return c.HandoffInstall(hf)
 	}
 	cfg.OnAdopt = func(id uint32, g *guardian.Guardian) {
-		registerKV(g)
+		server.RegisterKV(g)
 		if err := settleSelf(g); err != nil {
 			fmt.Fprintf(os.Stderr, "rosd: adopted shard %d: settle: %v\n", id, err)
 		}
@@ -259,7 +252,7 @@ func buildServer(b core.Backend, tr obs.Tracer, cfg server.Config) (*server.Serv
 		if err != nil {
 			return nil, err
 		}
-		registerKV(g)
+		server.RegisterKV(g)
 		return server.New(g, cfg), nil
 
 	case "primary":
@@ -267,7 +260,7 @@ func buildServer(b core.Backend, tr obs.Tracer, cfg server.Config) (*server.Serv
 		if err != nil {
 			return nil, err
 		}
-		registerKV(g)
+		server.RegisterKV(g)
 		peers, err := parseBackups(*backups)
 		if err != nil {
 			return nil, err
@@ -316,7 +309,7 @@ func buildServer(b core.Backend, tr obs.Tracer, cfg server.Config) (*server.Serv
 		// actions the dead primary coordinated — their verdicts are in
 		// the replicated log the promotion just recovered.
 		cfg.OnPromote = func(g *guardian.Guardian) {
-			registerKV(g)
+			server.RegisterKV(g)
 			if err := settleSelf(g); err != nil {
 				fmt.Fprintln(os.Stderr, "rosd: promote: settle:", err)
 			}
@@ -342,7 +335,7 @@ func buildSharded(b core.Backend, tr obs.Tracer, cfg server.Config) (*server.Ser
 		if err != nil {
 			return nil, err
 		}
-		registerKV(g)
+		server.RegisterKV(g)
 		s.AddShard(uint32(n), g)
 	}
 	if strings.TrimSpace(*routemap) != "" {
@@ -489,93 +482,4 @@ func parseBackups(s string) ([]backupPeer, error) {
 		peers = append(peers, backupPeer{id: ids.GuardianID(n), addr: addr})
 	}
 	return peers, nil
-}
-
-// registerKV installs the key/value handlers. Keys are stable
-// variables holding atomic objects, so every committed put/incr
-// survives a crash and every action sees a consistent version (§2.1).
-func registerKV(g *guardian.Guardian) {
-	// keyObj fetches (or, when create is set, makes and registers) the
-	// atomic behind a key.
-	keyObj := func(sub *guardian.Sub, key string, create bool) (*object.Atomic, error) {
-		if o, ok := g.VarAtomic(key); ok {
-			return o, nil
-		}
-		if !create {
-			return nil, fmt.Errorf("no such key %q", key)
-		}
-		o, err := sub.NewAtomic(value.Int(0))
-		if err != nil {
-			return nil, err
-		}
-		if err := sub.SetVar(key, o); err != nil {
-			return nil, err
-		}
-		return o, nil
-	}
-
-	g.RegisterHandler("get", func(sub *guardian.Sub, arg value.Value) (value.Value, error) {
-		key, ok := arg.(value.Str)
-		if !ok {
-			return nil, fmt.Errorf("get wants a Str key")
-		}
-		o, err := keyObj(sub, string(key), false)
-		if err != nil {
-			return nil, err
-		}
-		return sub.Read(o)
-	})
-
-	g.RegisterHandler("put", func(sub *guardian.Sub, arg value.Value) (value.Value, error) {
-		l, ok := arg.(*value.List)
-		if !ok || len(l.Elems) != 2 {
-			return nil, fmt.Errorf("put wants List[key, value]")
-		}
-		key, ok := l.Elems[0].(value.Str)
-		if !ok {
-			return nil, fmt.Errorf("put wants a Str key")
-		}
-		o, err := keyObj(sub, string(key), true)
-		if err != nil {
-			return nil, err
-		}
-		if err := sub.Set(o, l.Elems[1]); err != nil {
-			return nil, err
-		}
-		return sub.Read(o)
-	})
-
-	g.RegisterHandler("incr", func(sub *guardian.Sub, arg value.Value) (value.Value, error) {
-		key, delta, err := incrArgs(arg)
-		if err != nil {
-			return nil, err
-		}
-		o, err := keyObj(sub, key, true)
-		if err != nil {
-			return nil, err
-		}
-		if err := sub.Update(o, func(cur value.Value) value.Value {
-			n, _ := cur.(value.Int)
-			return n + delta
-		}); err != nil {
-			return nil, err
-		}
-		return sub.Read(o)
-	})
-}
-
-func incrArgs(arg value.Value) (string, value.Int, error) {
-	switch a := arg.(type) {
-	case value.Str:
-		return string(a), 1, nil
-	case *value.List:
-		if len(a.Elems) == 2 {
-			key, kok := a.Elems[0].(value.Str)
-			delta, dok := a.Elems[1].(value.Int)
-			if kok && dok {
-				return string(key), delta, nil
-			}
-		}
-	}
-	return "", 0, fmt.Errorf("incr wants a Str key or List[key, delta]")
 }

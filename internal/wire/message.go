@@ -256,6 +256,133 @@ func takeBytes(b []byte) ([]byte, []byte, error) {
 	return rest[:n], rest[n:], nil
 }
 
+// cursor reads a fixed-layout message field by field, checking each
+// bound before slicing. The first failure sticks and later reads
+// return zero values, so a decoder reads every field and then checks
+// once, through decoded.
+type cursor struct {
+	what string // the message name errors carry
+	b    []byte
+	err  error
+}
+
+func (c *cursor) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s: "+format, append([]any{ErrBadMessage, c.what}, args...)...)
+	}
+}
+
+// take consumes the next n bytes (nil after a failure).
+func (c *cursor) take(n int) []byte {
+	if c.err == nil && len(c.b) < n {
+		c.fail("%d bytes short", n-len(c.b))
+	}
+	if c.err != nil {
+		return nil
+	}
+	out := c.b[:n]
+	c.b = c.b[n:]
+	return out
+}
+
+func (c *cursor) u8() uint8 {
+	if b := c.take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (c *cursor) u32() uint32 {
+	if b := c.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+func (c *cursor) u64() uint64 {
+	if b := c.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// bool reads a flag byte, which must be 0 or 1.
+func (c *cursor) bool() bool {
+	v := c.u8()
+	if v > 1 {
+		c.fail("flag byte %d", v)
+	}
+	return v == 1
+}
+
+// role reads a Role byte, which must name a role.
+func (c *cursor) role() Role {
+	r := Role(c.u8())
+	if c.err == nil && (int(r) >= len(roleNames) || roleNames[r] == "") {
+		c.fail("unknown role %d", uint8(r))
+	}
+	return r
+}
+
+// bytes reads a uvarint-prefixed byte string: nil when empty, else
+// aliasing the message.
+func (c *cursor) bytes() []byte {
+	if c.err != nil {
+		return nil
+	}
+	v, rest, err := takeBytes(c.b)
+	if err != nil {
+		c.err = err
+		return nil
+	}
+	c.b = rest
+	if len(v) == 0 {
+		return nil
+	}
+	return v
+}
+
+// count reads a uvarint element count, bounded by what remains at size
+// bytes per element, so a corrupt count cannot force an allocation.
+func (c *cursor) count(size int) int {
+	if c.err != nil {
+		return 0
+	}
+	n, rest, err := takeUvarint(c.b)
+	if err != nil {
+		c.err = err
+		return 0
+	}
+	c.b = rest
+	if n > uint64(len(rest)/size) {
+		c.fail("%d elements of %d bytes beyond %d remaining", n, size, len(rest))
+		return 0
+	}
+	return int(n)
+}
+
+// nested decodes a uvarint-prefixed inner message with dec.
+func nested[T any](c *cursor, dec func([]byte) (T, error)) T {
+	var v T
+	if b := c.bytes(); c.err == nil {
+		v, c.err = dec(b)
+	}
+	return v
+}
+
+// decoded returns v, or c's first failure (trailing bytes included)
+// with T's zero value.
+func decoded[T any](v T, c *cursor) (T, error) {
+	if c.err == nil && len(c.b) != 0 {
+		c.fail("%d trailing bytes", len(c.b))
+	}
+	if c.err != nil {
+		var zero T
+		return zero, c.err
+	}
+	return v, nil
+}
+
 // EncodeRequest renders r as a frame payload.
 func EncodeRequest(r Request) []byte {
 	out := make([]byte, 0, 1+16+len(r.Handler)+len(r.Arg)+4)

@@ -163,24 +163,8 @@ func EncodeRepAppend(a RepAppend) []byte {
 
 // DecodeRepAppend parses a request argument as a RepAppend.
 func DecodeRepAppend(b []byte) (RepAppend, error) {
-	if len(b) < 8+8+4 {
-		return RepAppend{}, fmt.Errorf("%w: rep.append of %d bytes", ErrBadMessage, len(b))
-	}
-	var a RepAppend
-	a.Epoch = binary.LittleEndian.Uint64(b[0:8])
-	a.Start = binary.LittleEndian.Uint64(b[8:16])
-	a.PrevLen = binary.LittleEndian.Uint32(b[16:20])
-	frames, rest, err := takeBytes(b[20:])
-	if err != nil {
-		return RepAppend{}, err
-	}
-	if len(frames) > 0 {
-		a.Frames = frames
-	}
-	if len(rest) != 0 {
-		return RepAppend{}, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(rest))
-	}
-	return a, nil
+	c := cursor{what: "rep.append", b: b}
+	return decoded(RepAppend{Epoch: c.u64(), Start: c.u64(), PrevLen: c.u32(), Frames: c.bytes()}, &c)
 }
 
 // EncodeRepAck renders a as a response result.
@@ -197,17 +181,8 @@ func EncodeRepAck(a RepAck) []byte {
 
 // DecodeRepAck parses a response result as a RepAck.
 func DecodeRepAck(b []byte) (RepAck, error) {
-	if len(b) != repAckSize {
-		return RepAck{}, fmt.Errorf("%w: rep ack of %d bytes", ErrBadMessage, len(b))
-	}
-	if b[16] > 1 {
-		return RepAck{}, fmt.Errorf("%w: rep ack applied byte %d", ErrBadMessage, b[16])
-	}
-	return RepAck{
-		Epoch:   binary.LittleEndian.Uint64(b[0:8]),
-		Durable: binary.LittleEndian.Uint64(b[8:16]),
-		Applied: b[16] == 1,
-	}, nil
+	c := cursor{what: "rep ack", b: b}
+	return decoded(RepAck{Epoch: c.u64(), Durable: c.u64(), Applied: c.bool()}, &c)
 }
 
 // EncodeRepHeartbeat renders h as a request argument.
@@ -219,13 +194,8 @@ func EncodeRepHeartbeat(h RepHeartbeat) []byte {
 
 // DecodeRepHeartbeat parses a request argument as a RepHeartbeat.
 func DecodeRepHeartbeat(b []byte) (RepHeartbeat, error) {
-	if len(b) != repHeartbeatSize {
-		return RepHeartbeat{}, fmt.Errorf("%w: rep.heartbeat of %d bytes", ErrBadMessage, len(b))
-	}
-	return RepHeartbeat{
-		Epoch:   binary.LittleEndian.Uint64(b[0:8]),
-		Durable: binary.LittleEndian.Uint64(b[8:16]),
-	}, nil
+	c := cursor{what: "rep.heartbeat", b: b}
+	return decoded(RepHeartbeat{Epoch: c.u64(), Durable: c.u64()}, &c)
 }
 
 // EncodeRepSnapshot renders s as a request argument.
@@ -236,10 +206,8 @@ func EncodeRepSnapshot(s RepSnapshot) []byte {
 
 // DecodeRepSnapshot parses a request argument as a RepSnapshot.
 func DecodeRepSnapshot(b []byte) (RepSnapshot, error) {
-	if len(b) != repSnapshotSize {
-		return RepSnapshot{}, fmt.Errorf("%w: rep.snapshot of %d bytes", ErrBadMessage, len(b))
-	}
-	return RepSnapshot{Epoch: binary.LittleEndian.Uint64(b[0:8])}, nil
+	c := cursor{what: "rep.snapshot", b: b}
+	return decoded(RepSnapshot{Epoch: c.u64()}, &c)
 }
 
 // EncodeRepPromote renders p as a request argument.
@@ -255,10 +223,8 @@ func DecodeRepPromote(b []byte) (RepPromote, error) {
 	if len(b) == 0 {
 		return RepPromote{}, nil
 	}
-	if len(b) != repPromoteSize {
-		return RepPromote{}, fmt.Errorf("%w: promote of %d bytes", ErrBadMessage, len(b))
-	}
-	return RepPromote{MinDurable: binary.LittleEndian.Uint64(b[0:8])}, nil
+	c := cursor{what: "promote", b: b}
+	return decoded(RepPromote{MinDurable: c.u64()}, &c)
 }
 
 // EncodeRepStatus renders s as a response result.
@@ -279,23 +245,10 @@ func EncodeRepStatus(s RepStatus) []byte {
 
 // DecodeRepStatus parses a response result as a RepStatus.
 func DecodeRepStatus(b []byte) (RepStatus, error) {
-	if len(b) != repStatusSize {
-		return RepStatus{}, fmt.Errorf("%w: status of %d bytes", ErrBadMessage, len(b))
-	}
-	var s RepStatus
-	s.Role = Role(b[0])
-	if int(s.Role) >= len(roleNames) || roleNames[s.Role] == "" {
-		return RepStatus{}, fmt.Errorf("%w: unknown role %d", ErrBadMessage, b[0])
-	}
-	s.Epoch = binary.LittleEndian.Uint64(b[1:9])
-	s.Durable = binary.LittleEndian.Uint64(b[9:17])
-	s.QuorumBytes = binary.LittleEndian.Uint64(b[17:25])
-	s.Quorum = binary.LittleEndian.Uint32(b[25:29])
-	s.Replicas = binary.LittleEndian.Uint32(b[29:33])
-	s.Alive = binary.LittleEndian.Uint32(b[33:37])
-	s.IdxHits = binary.LittleEndian.Uint64(b[37:45])
-	s.IdxMisses = binary.LittleEndian.Uint64(b[45:53])
-	s.IdxEntries = binary.LittleEndian.Uint64(b[53:61])
-	s.IdxBytes = binary.LittleEndian.Uint64(b[61:69])
-	return s, nil
+	c := cursor{what: "status", b: b}
+	return decoded(RepStatus{
+		Role: c.role(), Epoch: c.u64(), Durable: c.u64(), QuorumBytes: c.u64(),
+		Quorum: c.u32(), Replicas: c.u32(), Alive: c.u32(),
+		IdxHits: c.u64(), IdxMisses: c.u64(), IdxEntries: c.u64(), IdxBytes: c.u64(),
+	}, &c)
 }

@@ -14,7 +14,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/ids"
 )
@@ -94,20 +93,8 @@ func EncodeHandoffReq(h HandoffReq) []byte {
 
 // DecodeHandoffReq parses a request argument as a HandoffReq.
 func DecodeHandoffReq(b []byte) (HandoffReq, error) {
-	if len(b) < 4 {
-		return HandoffReq{}, fmt.Errorf("%w: handoff of %d bytes", ErrBadMessage, len(b))
-	}
-	var h HandoffReq
-	h.Shard = binary.LittleEndian.Uint32(b[0:4])
-	target, rest, err := takeBytes(b[4:])
-	if err != nil {
-		return HandoffReq{}, err
-	}
-	h.Target = string(target)
-	if len(rest) != 0 {
-		return HandoffReq{}, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(rest))
-	}
-	return h, nil
+	c := cursor{what: "handoff", b: b}
+	return decoded(HandoffReq{Shard: c.u32(), Target: string(c.bytes())}, &c)
 }
 
 // EncodeHandoffFrames renders f as a request argument.
@@ -128,36 +115,11 @@ func EncodeHandoffFrames(f HandoffFrames) []byte {
 
 // DecodeHandoffFrames parses a request argument as a HandoffFrames.
 func DecodeHandoffFrames(b []byte) (HandoffFrames, error) {
-	if len(b) < 4+1+4+1 {
-		return HandoffFrames{}, fmt.Errorf("%w: handoff.install of %d bytes", ErrBadMessage, len(b))
-	}
-	var f HandoffFrames
-	f.Shard = binary.LittleEndian.Uint32(b[0:4])
-	f.Backend = b[4]
-	f.BlockSize = binary.LittleEndian.Uint32(b[5:9])
-	if b[9] > 1 {
-		return HandoffFrames{}, fmt.Errorf("%w: handoff.install done byte %d", ErrBadMessage, b[9])
-	}
-	f.Done = b[9] == 1
-	app, rest, err := takeBytes(b[10:])
-	if err != nil {
-		return HandoffFrames{}, err
-	}
-	f.App, err = DecodeRepAppend(app)
-	if err != nil {
-		return HandoffFrames{}, err
-	}
-	table, rest, err := takeBytes(rest)
-	if err != nil {
-		return HandoffFrames{}, err
-	}
-	if len(table) > 0 {
-		f.Table = table
-	}
-	if len(rest) != 0 {
-		return HandoffFrames{}, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(rest))
-	}
-	return f, nil
+	c := cursor{what: "handoff.install", b: b}
+	return decoded(HandoffFrames{
+		Shard: c.u32(), Backend: c.u8(), BlockSize: c.u32(), Done: c.bool(),
+		App: nested(&c, DecodeRepAppend), Table: c.bytes(),
+	}, &c)
 }
 
 // EncodeShardStatus renders s as one fixed-size row.
@@ -172,19 +134,8 @@ func EncodeShardStatus(s ShardStatus) []byte {
 
 // DecodeShardStatus parses one fixed-size row as a ShardStatus.
 func DecodeShardStatus(b []byte) (ShardStatus, error) {
-	if len(b) != shardStatusSize {
-		return ShardStatus{}, fmt.Errorf("%w: shard status of %d bytes", ErrBadMessage, len(b))
-	}
-	var s ShardStatus
-	s.ID = binary.LittleEndian.Uint32(b[0:4])
-	s.Role = Role(b[4])
-	if int(s.Role) >= len(roleNames) || roleNames[s.Role] == "" {
-		return ShardStatus{}, fmt.Errorf("%w: unknown role %d", ErrBadMessage, b[4])
-	}
-	s.Durable = binary.LittleEndian.Uint64(b[5:13])
-	s.IdxHits = binary.LittleEndian.Uint64(b[13:21])
-	s.IdxMisses = binary.LittleEndian.Uint64(b[21:29])
-	return s, nil
+	c := cursor{what: "shard status", b: b}
+	return decoded(ShardStatus{ID: c.u32(), Role: c.role(), Durable: c.u64(), IdxHits: c.u64(), IdxMisses: c.u64()}, &c)
 }
 
 // EncodeStatusReport renders r as a response result.
@@ -202,42 +153,19 @@ func EncodeStatusReport(r StatusReport) []byte {
 // rows must arrive in strictly ascending id order — the one canonical
 // encoding of a shard set.
 func DecodeStatusReport(b []byte) (StatusReport, error) {
-	rep, rest, err := takeBytes(b)
-	if err != nil {
-		return StatusReport{}, err
-	}
-	var r StatusReport
-	r.Rep, err = DecodeRepStatus(rep)
-	if err != nil {
-		return StatusReport{}, err
-	}
-	n, rest, err := takeUvarint(rest)
-	if err != nil {
-		return StatusReport{}, err
-	}
-	// Each row is exactly shardStatusSize bytes: bound the count by
-	// what remains before allocating.
-	if n > uint64(len(rest)/shardStatusSize) {
-		return StatusReport{}, fmt.Errorf("%w: %d shard rows beyond %d remaining bytes", ErrBadMessage, n, len(rest))
-	}
-	if n > 0 {
-		r.Shards = make([]ShardStatus, 0, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		s, err := DecodeShardStatus(rest[:shardStatusSize])
-		if err != nil {
-			return StatusReport{}, err
-		}
-		if i > 0 && s.ID <= r.Shards[i-1].ID {
-			return StatusReport{}, fmt.Errorf("%w: shard rows out of order", ErrBadMessage)
+	c := cursor{what: "status report", b: b}
+	r := StatusReport{Rep: nested(&c, DecodeRepStatus)}
+	for i, n := 0, c.count(shardStatusSize); i < n && c.err == nil; i++ {
+		s, err := DecodeShardStatus(c.take(shardStatusSize))
+		switch {
+		case err != nil:
+			c.err = err
+		case i > 0 && s.ID <= r.Shards[i-1].ID:
+			c.fail("shard rows out of order")
 		}
 		r.Shards = append(r.Shards, s)
-		rest = rest[shardStatusSize:]
 	}
-	if len(rest) != 0 {
-		return StatusReport{}, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(rest))
-	}
-	return r, nil
+	return decoded(r, &c)
 }
 
 // EncodeActionID renders an action id as a 12-byte result (OpBegin's
@@ -251,13 +179,8 @@ func EncodeActionID(aid ids.ActionID) []byte {
 
 // DecodeActionID parses a 12-byte action id.
 func DecodeActionID(b []byte) (ids.ActionID, error) {
-	if len(b) != 12 {
-		return ids.ActionID{}, fmt.Errorf("%w: action id of %d bytes", ErrBadMessage, len(b))
-	}
-	return ids.ActionID{
-		Coordinator: ids.GuardianID(binary.LittleEndian.Uint32(b[0:4])),
-		Seq:         binary.LittleEndian.Uint64(b[4:12]),
-	}, nil
+	c := cursor{what: "action id", b: b}
+	return decoded(ids.ActionID{Coordinator: ids.GuardianID(c.u32()), Seq: c.u64()}, &c)
 }
 
 // EncodeGuardianIDs renders a participant list as OpCommitting's
@@ -274,24 +197,10 @@ func EncodeGuardianIDs(gids []ids.GuardianID) []byte {
 
 // DecodeGuardianIDs parses OpCommitting's argument.
 func DecodeGuardianIDs(b []byte) ([]ids.GuardianID, error) {
-	n, rest, err := takeUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	// Each id is exactly 4 bytes: bound the count before allocating.
-	if n > uint64(len(rest)/4) {
-		return nil, fmt.Errorf("%w: %d guardian ids beyond %d remaining bytes", ErrBadMessage, n, len(rest))
-	}
+	c := cursor{what: "guardian ids", b: b}
 	var gids []ids.GuardianID
-	if n > 0 {
-		gids = make([]ids.GuardianID, 0, n)
+	for i, n := 0, c.count(4); i < n; i++ {
+		gids = append(gids, ids.GuardianID(c.u32()))
 	}
-	for i := uint64(0); i < n; i++ {
-		gids = append(gids, ids.GuardianID(binary.LittleEndian.Uint32(rest[0:4])))
-		rest = rest[4:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(rest))
-	}
-	return gids, nil
+	return decoded(gids, &c)
 }
